@@ -278,12 +278,10 @@ def workflow_b(registry: Registry, ledger: EvidenceLedger,
     committed = [e for e in ledger.entries()
                  if e.workflow == "A" and e.verdict == "committed"
                  and e.hub is not None and e.spoke is not None]
-    projector_kinds = ("fee_cap", "liquidity_cap", "position_caps",
-                       "maintenance", "diagonal")
     violations = []
     for e in committed:
         spoke = np.asarray(e.spoke)
-        if new_rel.kind in projector_kinds:
+        if new_rel.screen is not None:
             ok = new_rel.contains_vectors(spoke, spoke)
         else:
             ok = new_rel.contains_vectors(np.asarray(e.hub), spoke)

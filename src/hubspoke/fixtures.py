@@ -86,7 +86,6 @@ def _reference_square():
     square = CommutingSquare(g=g, fp=fp, f=f, h=identity_map(KD))
     Z = enumerate_simplex(1, 10)
     R = build_relation(KB, Z, "custom",
-                       predicate=lambda y, z: y[0] <= 2 * z[0] + 1e-9,
                        mask_fn=lambda Y, Zz: Y[:, [0]] <= 2 * Zz[:, 0][None, :] + 1e-9)
     return square, R
 

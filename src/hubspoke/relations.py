@@ -1,10 +1,15 @@
 """Closed alignment relations between lattice spaces and their algebra.
 
-A relation carries two faces: an analytic predicate on continuous weight
-vectors (tolerance 1e-9, so off-lattice images of maps can be tested) and
-a materialized pair set over the two lattices (exact, for law checking).
-The pair set is computed lazily and cached; composition, converse,
-intersection and fibers all operate on whichever face is appropriate.
+A relation is a set of pairs with one membership rule, `test(X, Y)`: for
+(P, d) and (Q, d) arrays of weight vectors it returns the (P, Q) boolean
+matrix of member pairs.  Formula kinds (tracking, turnover, the projector
+screens) test at an absolute tolerance of 1e-9, so off-lattice images of
+maps can be tested too.  Relations given by a finite pair set are backed
+by their incidence mask (`Relation.from_mask`): a vector off the lattice
+or off the space is never a member.  The incidence mask, the pair set,
+single-pair membership and menu actions are all derived from `test`;
+projectors and the diagonal also carry their codomain screen, so a menu
+action through them is the hub set intersected with the screen.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ PAIR_LIMIT = 5_000_000
 
 _CHUNK = 256
 
+Test = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Screen = Callable[[np.ndarray], np.ndarray]
+
 
 def _attr_matrix(g, dim: int) -> np.ndarray:
     """Normalize an attribute map to a (k, dim) matrix; None means identity."""
@@ -43,18 +51,55 @@ def _attr_matrix(g, dim: int) -> np.ndarray:
     return m
 
 
+def _lattice_index(space: LatticeSpace) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized lookup of weight-vector rows among the points of `space`.
+
+    A row v denotes the lattice point rint(vN) iff |rint(vN)/N - v|_inf <=
+    1e-9.  The lookup returns each row's point index, or -1 for a row off
+    the lattice or off the space.
+    """
+    N, d = space.N, space.n + 1
+    if (N + 1) ** d > np.iinfo(np.int64).max:
+        raise InvalidArgument(f"the ({space.n}, {N}) lattice is too large to index")
+    radix = (N + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = np.rint(space.array * N).astype(np.int64) @ radix
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def index(V: np.ndarray) -> np.ndarray:
+        out = np.full(len(V), -1, dtype=np.intp)
+        if V.shape[1] != d or not len(keys):
+            return out
+        C = np.rint(V * N)
+        ok = ((np.abs(C / N - V).max(axis=1) <= FLOAT_TOL)
+              & (C >= 0).all(axis=1) & (C <= N).all(axis=1))
+        k = np.where(ok[:, None], C, 0).astype(np.int64) @ radix
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        hit = ok & (keys[pos] == k)
+        out[hit] = order[pos[hit]]
+        return out
+
+    return index
+
+
+def _same(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2) <= FLOAT_TOL
+
+
 class Relation:
     """A closed alignment relation R between two lattice spaces.
 
-    `kind` and `params` identify the defining formula; `predicate` is the
-    analytic membership test on (weight-vector, weight-vector) pairs.
+    `kind` and `params` identify the defining formula.  `test(X, Y)` is the
+    membership rule on weight-vector arrays (see the module docstring).
+    `screen(Y)`, set on projectors and the diagonal, is the closed screen E
+    of a relation {(y, y): y in E}.  `mask`, when given, is the incidence
+    matrix over the two point sets and agrees with `test` on them.
     """
 
     def __init__(self, domain: LatticeSpace, codomain: LatticeSpace,
-                 kind: str, params: dict,
-                 predicate: Callable[[np.ndarray, np.ndarray], bool],
-                 mask_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-                 pairs: Optional[Iterable[tuple[GridPoint, GridPoint]]] = None):
+                 kind: str, params: dict, test: Test,
+                 screen: Optional[Screen] = None,
+                 mask: Optional[np.ndarray] = None):
         if domain.N != codomain.N:
             raise InvalidArgument(
                 "relations require a shared resolution: "
@@ -64,16 +109,32 @@ class Relation:
         self.codomain = codomain
         self.kind = kind
         self.params = params
-        self.predicate = predicate
-        self._mask_fn = mask_fn
-        self._mask: Optional[np.ndarray] = None
+        self.test = test
+        self.screen = screen
+        self._mask = mask
         self._pairs: Optional[tuple[tuple[GridPoint, GridPoint], ...]] = None
-        if pairs is not None:
-            self._pairs = tuple(sorted(set(pairs)))
-            mask = np.zeros((len(domain), len(codomain)), dtype=bool)
-            for x, y in self._pairs:
-                mask[domain.index_of(x), codomain.index_of(y)] = True
-            self._mask = mask
+
+    @classmethod
+    def from_mask(cls, domain: LatticeSpace, codomain: LatticeSpace,
+                  mask: np.ndarray, kind: str = "explicit",
+                  params: Optional[dict] = None) -> "Relation":
+        """The relation whose pairs are the true cells of an incidence mask."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(domain), len(codomain)):
+            raise InvalidArgument(
+                f"incidence mask has shape {mask.shape}, expected "
+                f"({len(domain)}, {len(codomain)})"
+            )
+        row_of, col_of = _lattice_index(domain), _lattice_index(codomain)
+
+        def test(X, Y):
+            i, j = row_of(X), col_of(Y)
+            rows, cols = i >= 0, j >= 0
+            out = np.zeros((len(i), len(j)), dtype=bool)
+            out[np.ix_(rows, cols)] = mask[np.ix_(i[rows], j[cols])]
+            return out
+
+        return cls(domain, codomain, kind, params or {}, test, mask=mask)
 
     # -- materialization ---------------------------------------------------
 
@@ -86,24 +147,14 @@ class Relation:
                     f"refusing to materialize a {size}-cell incidence mask; "
                     "use the action/menu path for large relations"
                 )
-            self._mask = self._compute_mask(self.domain.array, self.codomain.array)
-        return self._mask
-
-    def _compute_mask(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self._mask_fn is not None:
-            if len(X) * len(Y) <= 2_000_000:
-                return self._mask_fn(X, Y)
+            X, Y = self.domain.array, self.codomain.array
             # chunk rows so the (P, Q, d) broadcast intermediates stay small
             out = np.zeros((len(X), len(Y)), dtype=bool)
             step = max(1, 2_000_000 // max(len(Y), 1))
             for start in range(0, len(X), step):
-                out[start:start + step] = self._mask_fn(X[start:start + step], Y)
-            return out
-        out = np.zeros((len(X), len(Y)), dtype=bool)
-        for i, x in enumerate(X):
-            for j, y in enumerate(Y):
-                out[i, j] = bool(self.predicate(x, y))
-        return out
+                out[start:start + step] = self.test(X[start:start + step], Y)
+            self._mask = out
+        return self._mask
 
     @property
     def pairs(self) -> tuple[tuple[GridPoint, GridPoint], ...]:
@@ -125,9 +176,10 @@ class Relation:
     # -- membership ---------------------------------------------------------
 
     def contains_vectors(self, x: Sequence[float], y: Sequence[float]) -> bool:
-        """Analytic membership for (possibly off-lattice) weight vectors."""
-        return bool(self.predicate(np.asarray(x, dtype=float),
-                                   np.asarray(y, dtype=float)))
+        """Membership of one pair of (possibly off-lattice) weight vectors."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return bool(self.test(x[None], y[None])[0, 0])
 
     def contains(self, x: GridPoint, y: GridPoint) -> bool:
         return self.contains_vectors(x.to_array(), y.to_array())
@@ -135,23 +187,25 @@ class Relation:
     def menu_mask(self, hub_mask: np.ndarray) -> np.ndarray:
         """For selected domain rows, which codomain points are hit by some hub.
 
-        Vectorized through the relation mask when small enough; relation
-        kinds with a mask_fn stream it in chunks so big menus never
-        materialize the full pair set.
+        Reads the cached mask when there is one.  A screened relation hits
+        the hubs that are codomain points and pass the screen.  Otherwise
+        `test` is streamed over codomain chunks, so big menus never
+        materialize the full incidence mask.
         """
-        X = self.domain.array[hub_mask]
-        Y = self.codomain.array
-        if len(X) == 0:
-            return np.zeros(len(Y), dtype=bool)
         if self._mask is not None:
             return self._mask[hub_mask].any(axis=0)
-        if self._mask_fn is not None:
-            hit = np.zeros(len(Y), dtype=bool)
+        X = self.domain.array[hub_mask]
+        Y = self.codomain.array
+        hit = np.zeros(len(Y), dtype=bool)
+        if self.screen is not None:
+            j = _lattice_index(self.codomain)(X)
+            hit[j[j >= 0]] = True
+            return hit & self.screen(Y)
+        if len(X):
             for start in range(0, len(Y), _CHUNK):
                 block = slice(start, start + _CHUNK)
-                hit[block] = self._mask_fn(X, Y[block]).any(axis=0)
-            return hit
-        return self.mask()[hub_mask].any(axis=0)
+                hit[block] = self.test(X, Y[block]).any(axis=0)
+        return hit
 
     # -- misc ----------------------------------------------------------------
 
@@ -160,21 +214,6 @@ class Relation:
                       if isinstance(v, (int, float, str, Fraction)))
         return f"{self.kind}({ps})"
 
-    def to_dict(self) -> dict:
-        if self.kind in ("custom", "explicit"):
-            raise InvalidArgument(f"{self.kind} relations have no file form")
-        params = {}
-        for k, v in self.params.items():
-            if isinstance(v, LinearFunctional):
-                params[k] = v.to_dict()
-            elif isinstance(v, np.ndarray):
-                params[k] = v.tolist()
-            elif isinstance(v, tuple):
-                params[k] = list(v)
-            else:
-                params[k] = v
-        return {"kind": self.kind, "params": params}
-
     def __repr__(self):
         return f"Relation<{self.describe()}>"
 
@@ -182,9 +221,8 @@ class Relation:
 class MapAsRelation(Relation):
     """The graph of a re-implementation map, as a functional relation."""
 
-    def __init__(self, *args, functional: bool = True, graph_pairs=None, **kwargs):
+    def __init__(self, *args, graph_pairs=(), **kwargs):
         super().__init__(*args, **kwargs)
-        self.functional = functional
         # (GridPoint, image-vector) pairs; images may sit off-lattice.
         self.graph_pairs = graph_pairs
 
@@ -202,7 +240,9 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
     liquidity_cap(alpha, illiquid)   projector {(y,y): sum_{i in I} y_i <= alpha}
     position_caps(caps)         projector {(y,y): y_i <= c_i}
     maintenance(kappa, costs)   projector {(y,y): sum tau_i y_i <= kappa}
-    custom(predicate)           arbitrary membership test
+    custom(mask_fn | predicate) mask_fn(X, Y) is the vectorized rule, used
+                                as `test`; a predicate(x, y) given alone is
+                                lifted pair by pair
     """
     if kind == "track":
         eps = float(params["epsilon"])
@@ -213,16 +253,13 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
         if gA.shape[0] != gB.shape[0]:
             raise InvalidArgument("attribute maps must target the same space")
 
-        def pred(x, y, gA=gA, gB=gB, eps=eps):
-            return float(np.linalg.norm(gA @ x - gB @ y)) <= eps + FLOAT_TOL
-
-        def mask_fn(X, Y, gA=gA, gB=gB, eps=eps):
+        def test(X, Y, gA=gA, gB=gB, eps=eps):
             A, B = X @ gA.T, Y @ gB.T
             d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
             return d2 <= (eps + FLOAT_TOL) ** 2
 
         return Relation(domain, codomain, "track",
-                        {"epsilon": eps, "gA": gA, "gB": gB}, pred, mask_fn)
+                        {"epsilon": eps, "gA": gA, "gB": gB}, test)
 
     if kind == "turnover":
         kappa = float(params["kappa"])
@@ -231,23 +268,33 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
         if domain.n != codomain.n:
             raise InvalidArgument("turnover relates spaces over the same assets")
 
-        def pred(x, y, kappa=kappa):
-            return float(np.abs(x - y).sum()) <= kappa + FLOAT_TOL
-
-        def mask_fn(X, Y, kappa=kappa):
+        def test(X, Y, kappa=kappa):
             d = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
             return d <= kappa + FLOAT_TOL
 
-        return Relation(domain, codomain, "turnover", {"kappa": kappa}, pred, mask_fn)
+        return Relation(domain, codomain, "turnover", {"kappa": kappa}, test)
 
     if kind in ("fee_cap", "liquidity_cap", "position_caps", "maintenance"):
         return _projector(domain, codomain, kind, params)
 
     if kind == "custom":
-        return Relation(domain, codomain, "custom", params, params["predicate"],
-                        params.get("mask_fn"))
+        test = params.get("mask_fn") or _lift(params["predicate"])
+        return Relation(domain, codomain, "custom", params, test)
 
     raise InvalidArgument(f"unknown relation kind {kind!r}")
+
+
+def _lift(predicate: Callable[[np.ndarray, np.ndarray], bool]) -> Test:
+    """A pairwise predicate as a test, evaluated one pair at a time."""
+
+    def test(X, Y):
+        out = np.zeros((len(X), len(Y)), dtype=bool)
+        for i, x in enumerate(X):
+            for j, y in enumerate(Y):
+                out[i, j] = bool(predicate(x, y))
+        return out
+
+    return test
 
 
 def _projector(domain: LatticeSpace, codomain: LatticeSpace,
@@ -304,18 +351,10 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
 
         stored = {"kappa": kappa, "costs": costs}
 
-    def pred(x, y, screen=screen):
-        if float(np.abs(x - y).max()) > FLOAT_TOL:
-            return False
-        return bool(screen(y.reshape(1, -1))[0])
+    def test(X, Y, screen=screen):
+        return _same(X, Y) & screen(Y)[None, :]
 
-    def mask_fn(X, Y, screen=screen):
-        same = np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2) <= FLOAT_TOL
-        return same & screen(Y)[None, :]
-
-    rel = Relation(domain, codomain, kind, stored, pred, mask_fn)
-    rel.screen = screen  # projectors expose their screen for menu fast paths
-    return rel
+    return Relation(domain, codomain, kind, stored, test, screen=screen)
 
 
 def relation_from_dict(domain: LatticeSpace, codomain: LatticeSpace, d: dict) -> Relation:
@@ -327,53 +366,27 @@ def relation_from_dict(domain: LatticeSpace, codomain: LatticeSpace, d: dict) ->
 
 def diagonal(space: LatticeSpace) -> Relation:
     """The vertical identity Delta_K."""
-
-    def pred(x, y):
-        return float(np.abs(x - y).max()) <= FLOAT_TOL
-
-    def mask_fn(X, Y):
-        return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2) <= FLOAT_TOL
-
-    return Relation(space, space, "diagonal", {}, pred, mask_fn)
+    return Relation(space, space, "diagonal", {}, _same,
+                    screen=lambda Y: np.ones(len(Y), dtype=bool))
 
 
 def full_relation(domain: LatticeSpace, codomain: LatticeSpace) -> Relation:
-    def pred(x, y):
-        return True
-
-    def mask_fn(X, Y):
-        return np.ones((len(X), len(Y)), dtype=bool)
-
-    return Relation(domain, codomain, "full", {}, pred, mask_fn)
+    return Relation(domain, codomain, "full", {},
+                    lambda X, Y: np.ones((len(X), len(Y)), dtype=bool))
 
 
 def empty_relation(domain: LatticeSpace, codomain: LatticeSpace) -> Relation:
-    def pred(x, y):
-        return False
-
-    def mask_fn(X, Y):
-        return np.zeros((len(X), len(Y)), dtype=bool)
-
-    return Relation(domain, codomain, "empty", {}, pred, mask_fn)
+    return Relation(domain, codomain, "empty", {},
+                    lambda X, Y: np.zeros((len(X), len(Y)), dtype=bool))
 
 
 def explicit_relation(domain: LatticeSpace, codomain: LatticeSpace,
                       pairs: Iterable[tuple[GridPoint, GridPoint]]) -> Relation:
     """A relation given by an explicit finite pair set (closed, as finite)."""
-    pair_set = {(x.coords, y.coords) for x, y in pairs}
-
-    def pred(x, y, pair_set=pair_set, N=domain.N, M=codomain.N):
-        xs = tuple(int(round(c * N)) for c in x)
-        ys = tuple(int(round(c * M)) for c in y)
-        if np.max(np.abs(np.asarray(xs) / N - x)) > FLOAT_TOL:
-            return False
-        if np.max(np.abs(np.asarray(ys) / M - y)) > FLOAT_TOL:
-            return False
-        return (xs, ys) in pair_set
-
-    return Relation(domain, codomain, "explicit", {}, pred,
-                    pairs=[(GridPoint(a, domain.N), GridPoint(b, codomain.N))
-                           for a, b in pair_set])
+    mask = np.zeros((len(domain), len(codomain)), dtype=bool)
+    for x, y in pairs:
+        mask[domain.index_of(x), codomain.index_of(y)] = True
+    return Relation.from_mask(domain, codomain, mask)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -388,71 +401,28 @@ def compose_vertical(S: Relation, R: Relation) -> Relation:
         )
     if R.codomain.points != S.domain.points:
         raise InvalidArgument("cannot compose: intermediate spaces have different points")
-    m = (R.mask().astype(np.uint8) @ S.mask().astype(np.uint8)) > 0
-    out = Relation(R.domain, S.codomain, "compose",
-                   {"outer": S.describe(), "inner": R.describe()},
-                   predicate=lambda x, y: False)
-    out._mask = m
-    out.predicate = _mask_predicate(out)
-    return out
-
-
-def _mask_predicate(rel: Relation):
-    def pred(x, y, rel=rel):
-        try:
-            i = rel.domain.index_of(_to_point(x, rel.domain.N))
-            j = rel.codomain.index_of(_to_point(y, rel.codomain.N))
-        except InvalidArgument:
-            return False
-        return bool(rel._mask[i, j])
-
-    return pred
-
-
-def _to_point(v: np.ndarray, N: int) -> GridPoint:
-    coords = np.rint(np.asarray(v, dtype=float) * N)
-    if np.max(np.abs(coords / N - v)) > FLOAT_TOL:
-        raise InvalidArgument("off-lattice vector")
-    return GridPoint(tuple(int(c) for c in coords), N)
+    # float counts: a sum of non-negative terms is never rounded to 0
+    m = (R.mask().astype(np.float32) @ S.mask().astype(np.float32)) > 0
+    return Relation.from_mask(R.domain, S.codomain, m, kind="compose",
+                              params={"outer": S.describe(), "inner": R.describe()})
 
 
 def dagger(R: Relation) -> Relation:
     """Converse relation: pairs swapped, domain and codomain swapped."""
-
-    def pred(x, y, R=R):
-        return R.contains_vectors(y, x)
-
-    mask_fn = None
-    if R._mask_fn is not None:
-        def mask_fn(X, Y, R=R):
-            return R._mask_fn(Y, X).T
-
-    out = Relation(R.codomain, R.domain, f"dagger[{R.kind}]", R.params, pred,
-                   mask_fn=mask_fn)
-    if R._mask is not None:
-        out._mask = R._mask.T
-    return out
+    return Relation(R.codomain, R.domain, f"dagger[{R.kind}]", R.params,
+                    lambda X, Y: R.test(Y, X).T, screen=R.screen,
+                    mask=None if R._mask is None else R._mask.T)
 
 
 def intersect(R: Relation, Rp: Relation) -> Relation:
-    """Pairwise intersection; predicate is the conjunction."""
+    """Pairwise intersection; the test is the conjunction."""
     if (R.domain.points != Rp.domain.points
             or R.codomain.points != Rp.codomain.points):
         raise InvalidArgument("intersection requires identical domain and codomain")
-
-    def pred(x, y, R=R, Rp=Rp):
-        return R.contains_vectors(x, y) and Rp.contains_vectors(x, y)
-
-    mask_fn = None
-    if R._mask_fn is not None and Rp._mask_fn is not None:
-        def mask_fn(X, Y, R=R, Rp=Rp):
-            return R._mask_fn(X, Y) & Rp._mask_fn(X, Y)
-
-    out = Relation(R.domain, R.codomain, "intersect",
-                   {"left": R.describe(), "right": Rp.describe()}, pred, mask_fn)
-    if R._mask is not None and Rp._mask is not None:
-        out._mask = R._mask & Rp._mask
-    return out
+    both = None if R._mask is None or Rp._mask is None else R._mask & Rp._mask
+    return Relation(R.domain, R.codomain, "intersect",
+                    {"left": R.describe(), "right": Rp.describe()},
+                    lambda X, Y: R.test(X, Y) & Rp.test(X, Y), mask=both)
 
 
 def fiber(R: Relation, x: GridPoint) -> tuple[GridPoint, ...]:
@@ -466,8 +436,8 @@ def graph_of(f) -> MapAsRelation:
     """Graph(f) as a vertical morphism.
 
     Every image must satisfy the codomain's membership predicate within
-    tolerance; images that also land on the codomain lattice give an exact
-    functional pair set.
+    tolerance.  A pair (x, y) is a member when x is a point of f's domain
+    and y is within tolerance of f(x).
     """
     domain: LatticeSpace = f.domain
     codomain: LatticeSpace = f.codomain
@@ -477,29 +447,17 @@ def graph_of(f) -> MapAsRelation:
             raise InvalidArgument(
                 f"map is not into its codomain: f({p}) = {img.tolist()}"
             )
-    graph_pairs = tuple(zip(domain.points, images))
-
     img_matrix = np.asarray(images) if images else np.zeros((0, codomain.n + 1))
+    row_of = _lattice_index(domain)
 
-    def pred(x, y, domain=domain, img=img_matrix):
-        try:
-            i = domain.index_of(_to_point(np.asarray(x, dtype=float), domain.N))
-        except InvalidArgument:
-            return False
-        return float(np.abs(img[i] - np.asarray(y, dtype=float)).max()) <= FLOAT_TOL
-
-    def mask_fn(X, Y, domain=domain, img=img_matrix):
+    def test(X, Y):
+        i = row_of(X)
         out = np.zeros((len(X), len(Y)), dtype=bool)
-        for r, x in enumerate(X):
-            try:
-                i = domain.index_of(_to_point(x, domain.N))
-            except InvalidArgument:
-                continue
-            out[r] = np.abs(Y - img[i]).max(axis=1) <= FLOAT_TOL
+        out[i >= 0] = _same(img_matrix[i[i >= 0]], Y)
         return out
 
     return MapAsRelation(domain, codomain, "graph", {"map": getattr(f, "name", "f")},
-                         pred, mask_fn, functional=True, graph_pairs=graph_pairs)
+                         test, graph_pairs=tuple(zip(domain.points, images)))
 
 
 def two_cell_exists(f, g, R: Relation, S: Relation) -> bool:
@@ -507,7 +465,7 @@ def two_cell_exists(f, g, R: Relation, S: Relation) -> bool:
 
     f: K1 -> K2, g: K3 -> K4, R in K1 x K3, S in K2 x K4.  Down-then-right
     pairs (f is applied to the hub, g to the aligned partner) are checked
-    against S's analytic predicate.
+    against S's membership test.
     """
     if f.domain.points != R.domain.points:
         raise InvalidArgument("f must start at R's domain")

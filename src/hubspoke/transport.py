@@ -3,8 +3,8 @@
 Pushforwards carry continuous image points, so results are held as pair
 sets keyed by rounded coordinates (dedup tolerance 1e-9).  Every equality
 law is verified with both sides built from the same hub enumeration, which
-keeps float comparisons bitwise-stable; membership tests against analytic
-predicates use the tolerance instead.
+keeps float comparisons bitwise-stable; membership tests through a
+relation's `test` use the tolerance instead.
 """
 
 from __future__ import annotations
@@ -129,17 +129,8 @@ def pullback(f: ReimplMap, S: Relation) -> Relation:
     """f*S = {(x, z): (f(x), z) in S}, an exact relation on f's domain lattice."""
     if f.codomain.points != S.domain.points:
         raise InvalidArgument("pullback: f must land in S's domain")
-    K1, K3 = f.domain, S.codomain
-    imgs = map_images(f)
-    if S._mask_fn is not None:
-        mask = S._mask_fn(imgs, K3.array)
-    else:
-        mask = np.zeros((len(K1), len(K3)), dtype=bool)
-        for i, fx in enumerate(imgs):
-            for j, z in enumerate(K3.array):
-                mask[i, j] = S.contains_vectors(fx, z)
-    pairs = [(K1.points[i], K3.points[j]) for i, j in zip(*np.nonzero(mask))]
-    return explicit_relation(K1, K3, pairs)
+    return Relation.from_mask(f.domain, S.codomain,
+                              S.test(map_images(f), S.codomain.array))
 
 
 def pushforward(f: ReimplMap, R: Relation) -> PairSet:
@@ -273,7 +264,7 @@ def _late_audit_pairs(square: CommutingSquare, R: Relation) -> PairSet:
     h_img = map_images(square.h)                      # (|C|, d)
     # match[c, b]: h(y_c) equals f(y_b) within tolerance
     match = (np.abs(h_img[:, None, :] - f_img[None, :, :]).max(axis=2) <= FLOAT_TOL)
-    member = (match.astype(np.uint8) @ R_mask.astype(np.uint8)) > 0  # (|C|, |Z|)
+    member = (match.astype(np.float32) @ R_mask.astype(np.float32)) > 0  # (|C|, |Z|)
     return PairSet.from_pairs(
         (K_C.points[i].to_array(), R.codomain.points[j].to_array())
         for i, j in zip(*np.nonzero(member))
@@ -302,7 +293,7 @@ def pointwise_cartesian(square: CommutingSquare, tol: float = FLOAT_TOL) -> tupl
     consistent = (np.abs(f_img[:, None, :] - h_img[None, :, :]).max(axis=2) <= tol)
     g_hits = (np.abs(g_img[:, None, :] - K_B.array[None, :, :]).max(axis=2) <= tol)
     fp_hits = (np.abs(fp_img[:, None, :] - K_C.array[None, :, :]).max(axis=2) <= tol)
-    lifted = (g_hits.astype(np.uint8).T @ fp_hits.astype(np.uint8)) > 0  # (|B|, |C|)
+    lifted = (g_hits.astype(np.float32).T @ fp_hits.astype(np.float32)) > 0  # (|B|, |C|)
     failures = [
         (tuple(K_B.points[i].to_array().tolist()),
          tuple(K_C.points[j].to_array().tolist()))

@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hubspoke.dots import Menu, action
 from hubspoke.geometry import (
     GridPoint,
     InvalidArgument,
+    LatticeSpace,
     LinearFunctional,
     enumerate_simplex,
     parse_constraint,
@@ -13,6 +17,7 @@ from hubspoke.geometry import (
 )
 from hubspoke.optimize import ReimplMap, identity_map
 from hubspoke.relations import (
+    Relation,
     build_relation,
     compose_vertical,
     dagger,
@@ -122,6 +127,13 @@ class TestComposition:
         turn = build_relation(amb, amb, "turnover", kappa=0.3)
         composed = compose_vertical(turn, track)
         assert set(composed.pairs) == brute_compose(turn, track)
+
+    def test_counts_past_a_byte(self):
+        # 256 shared intermediates per pair: a uint8 product would wrap to 0
+        K = enumerate_simplex(2, 22)
+        mid = LatticeSpace.from_points(2, 22, K.points[:256])
+        composed = compose_vertical(full_relation(mid, K), full_relation(K, mid))
+        assert composed.mask().all()
 
     def test_projector_idempotent(self):
         amb = enumerate_simplex(2, 8)
@@ -280,3 +292,120 @@ class TestTwoCell:
         S_tight = build_relation(K, K, "track", epsilon=0.02)
         assert two_cell_exists(f, g, R, S_loose)
         assert not two_cell_exists(f, g, R, S_tight)
+
+
+# -- differential tests of the single membership rule --------------------------
+
+FEE_COEFFS = (Fraction(10), Fraction(5), Fraction(0))
+
+
+def _projector_case(kind, k):
+    """Relation parameters for a projector kind, and its screen in exact
+    rationals on integer holdings c at resolution N."""
+    if kind == "fee_cap":
+        tau = Fraction(k, 2)
+        return ({"tau": float(tau), "functional": FEE},
+                lambda c, N: sum(a * h for a, h in zip(FEE_COEFFS, c)) <= tau * N)
+    if kind == "liquidity_cap":
+        alpha = Fraction(k, 10)
+        return ({"alpha": float(alpha), "illiquid": (0, 2)},
+                lambda c, N: c[0] + c[2] <= alpha * N)
+    if kind == "position_caps":
+        caps = (Fraction(k, 10), Fraction(1), Fraction(10 - k, 10))
+        return ({"caps": tuple(float(x) for x in caps)},
+                lambda c, N: all(h <= x * N for h, x in zip(c, caps)))
+    if kind == "maintenance":
+        costs, kappa = (3, 0, 7), Fraction(k, 3)
+        return ({"kappa": float(kappa), "costs": costs},
+                lambda c, N: sum(a * h for a, h in zip(costs, c)) <= kappa * N)
+    return {}, lambda c, N: True
+
+
+def _spaces(shape, N, cap):
+    """(domain, codomain) on Delta^2 at 1/N: equal, or a restricted hub on
+    one side and the ambient lattice on the other."""
+    amb = enumerate_simplex(2, N)
+    hub = restrict(amb, [parse_constraint(f"x1<={cap}/10", 3)])
+    return {"same": (amb, amb), "hub_to_amb": (hub, amb),
+            "amb_to_hub": (amb, hub)}[shape]
+
+
+class TestScreenDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["fee_cap", "liquidity_cap", "position_caps",
+                                 "maintenance", "diagonal"]),
+           shape=st.sampled_from(["same", "hub_to_amb", "amb_to_hub"]),
+           N=st.integers(1, 10), k=st.integers(0, 10), cap=st.integers(0, 10),
+           seed=st.integers(0, 10_000))
+    def test_screen_path_matches_mask_and_exact_oracle(self, kind, shape, N, k,
+                                                       cap, seed):
+        domain, codomain = _spaces(shape, N, cap)
+        params, exact = _projector_case(kind, k)
+        if kind == "diagonal":
+            codomain = domain
+            build = lambda: diagonal(domain)  # noqa: E731
+        else:
+            build = lambda: build_relation(domain, codomain, kind, **params)  # noqa: E731
+        rng = np.random.default_rng(seed)
+        menu = Menu(domain, [p for p in domain.points if rng.random() < 0.5])
+
+        screened = build()
+        assert screened.screen is not None and screened._mask is None
+        via_screen = action(menu, screened)
+        masked = build()
+        masked.mask()
+        via_mask = action(menu, masked)
+        oracle = {p.coords for p in menu.points
+                  if p.coords in codomain._index and exact(p.coords, N)}
+        assert via_screen.point_set() == via_mask.point_set() == oracle
+
+
+class TestFromMask:
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 10), cap=st.integers(0, 9), seed=st.integers(0, 10_000))
+    def test_contains_vectors_agrees_with_mask(self, N, cap, seed):
+        amb = enumerate_simplex(2, N)
+        hub = restrict(amb, [parse_constraint(f"x1<={cap}/10", 3)])
+        rng = np.random.default_rng(seed)
+        mask = rng.random((len(hub), len(amb))) < 0.4
+        R = Relation.from_mask(hub, amb, mask)
+        assert np.array_equal(R.mask(), mask)
+        for i, x in enumerate(hub.array):
+            for j, y in enumerate(amb.array):
+                assert R.contains_vectors(x, y) == mask[i, j]
+        # off the lattice by half a step, or a lattice vector off the
+        # simplex whose holdings alias a point's: never a member
+        shift = np.array([1, -1, 0]) / (2 * N)
+        alias = np.array([0, 1, -(N + 1)]) / N
+        for i, j in zip(*np.nonzero(mask)):
+            x, y = hub.array[i], amb.array[j]
+            assert not R.contains_vectors(x + shift, y)
+            assert not R.contains_vectors(x, y - shift)
+            assert not R.contains_vectors(x + alias, y)
+        # lattice points outside the hub: never a member
+        full = Relation.from_mask(hub, amb, np.ones_like(mask))
+        outside = [p for p in amb.points if p.coords not in hub._index]
+        for p in outside:
+            assert not full.contains_vectors(p.to_array(), amb.array[0])
+        assert outside or len(hub) == len(amb)
+
+    def test_shape_checked(self):
+        K = enumerate_simplex(1, 3)
+        with pytest.raises(InvalidArgument):
+            Relation.from_mask(K, K, np.zeros((3, 4), dtype=bool))
+
+
+class TestCustomLift:
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.integers(-3, 3), b=st.integers(-3, 3), c=st.integers(-5, 5),
+           N=st.integers(1, 10))
+    def test_predicate_and_mask_fn_agree(self, a, b, c, N):
+        amb = enumerate_simplex(2, N)
+        hub = restrict(amb, [parse_constraint("x1<=0.5", 3)])
+        by_pred = build_relation(
+            hub, amb, "custom",
+            predicate=lambda x, y: a * x[0] + b * y[1] <= c / 4 + 1e-9)
+        by_fn = build_relation(
+            hub, amb, "custom",
+            mask_fn=lambda X, Y: a * X[:, [0]] + b * Y[None, :, 1] <= c / 4 + 1e-9)
+        assert np.array_equal(by_pred.mask(), by_fn.mask())

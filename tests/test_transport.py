@@ -294,6 +294,25 @@ class TestBeckChevalley:
             R = explicit_relation(KB, Z, pairs)
             assert verify_lax_bc(square, R).holds
 
+    def test_counts_past_a_byte(self):
+        # 256 hubs share one image pair and 256 points of K_B share one
+        # image: a uint8 product of the incidence counts would wrap to 0
+        K = LatticeSpace.from_points(2, 22, enumerate_simplex(2, 22).points[:256])
+        KD = enumerate_simplex(1, 22)
+
+        def const(dom, cod, p):
+            return ReimplMap(dom, cod, "affine", matrix=np.zeros((cod.n + 1, dom.n + 1)),
+                             offset=p.to_array(), name="const")
+
+        p0, d0 = K.points[0], KD.points[0]
+        square = CommutingSquare(g=const(K, K, p0), fp=const(K, K, p0),
+                                 f=const(K, KD, d0), h=const(K, KD, d0))
+        R = full_relation(K, KD)
+        assert verify_lax_bc(square, R).holds
+        failures = verify_strict_bc(square, R).detail["cartesian_failures"]
+        lifted = tuple(p0.to_array().tolist())
+        assert failures and (lifted, lifted) not in failures
+
     def test_non_commuting_square_rejected(self):
         K = enumerate_simplex(1, 4)
         i = identity_map(K)
