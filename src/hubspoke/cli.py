@@ -110,26 +110,34 @@ def cmd_build_map(args) -> int:
 def _parse_apply(token: str, space: LatticeSpace):
     parts = token.split(":")
     kind = parts[0]
-    if kind == "track":
-        return build_relation(space, space, "track", epsilon=float(parts[1]))
-    if kind == "turnover":
-        return build_relation(space, space, "turnover", kappa=float(parts[1]))
-    if kind == "fee_cap":
-        fee = DEFAULT_FEE
-        if len(parts) > 2:
-            fee = LinearFunctional(tuple(float(c) for c in parts[2].split(",")))
-        return build_relation(space, space, "fee_cap", tau=float(parts[1]), functional=fee)
-    if kind == "liquidity_cap":
-        idx = tuple(int(i) for i in parts[2].split(","))
-        return build_relation(space, space, "liquidity_cap",
-                              alpha=float(parts[1]), illiquid=idx)
-    raise InvalidArgument(f"cannot parse --apply {token!r}")
+    try:
+        if kind == "track":
+            params = {"epsilon": float(parts[1])}
+        elif kind == "turnover":
+            params = {"kappa": float(parts[1])}
+        elif kind == "fee_cap":
+            fee = DEFAULT_FEE
+            if len(parts) > 2:
+                fee = LinearFunctional(tuple(float(c) for c in parts[2].split(",")))
+            params = {"tau": float(parts[1]), "functional": fee}
+        elif kind == "liquidity_cap":
+            params = {"alpha": float(parts[1]),
+                      "illiquid": tuple(int(i) for i in parts[2].split(","))}
+        else:
+            params = None
+    except (IndexError, ValueError):
+        params = None
+    if params is None:
+        raise InvalidArgument(f"cannot parse --apply {token!r}")
+    return build_relation(space, space, kind, **params)
 
 
 def cmd_menu(args) -> int:
     if args.template:
         if args.template != "core-satellite":
             raise InvalidArgument("only the core-satellite template is wired to the CLI")
+        if len(args.inputs) != 2:
+            raise InvalidArgument("the core-satellite template takes two --inputs")
         inputs = []
         for path in args.inputs:
             with open(path, encoding="utf-8") as fh:
@@ -137,6 +145,8 @@ def cmd_menu(args) -> int:
         t = WiringTemplate.core_satellite(args.w, inputs[0])
         menu = apply_template(t, inputs)
     else:
+        if not args.hub:
+            raise InvalidArgument("menu needs --hub or --template")
         with open(args.hub, encoding="utf-8") as fh:
             hub = LatticeSpace.from_dict(json.load(fh))
         ambient = enumerate_simplex(hub.n, hub.N)

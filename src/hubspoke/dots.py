@@ -32,7 +32,10 @@ class Menu:
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(set(self.points))))
+        # GridPoint's field order, by key: the dataclass __lt__ would be one
+        # Python call per comparison
+        object.__setattr__(self, "points", tuple(sorted(
+            set(self.points), key=lambda p: (p.coords, p.resolution))))
 
     def __len__(self):
         return len(self.points)

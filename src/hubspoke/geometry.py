@@ -200,11 +200,15 @@ class LatticeSpace:
         return {p.coords: i for i, p in enumerate(self.points)}
 
     @cached_property
+    def holdings(self) -> np.ndarray:
+        """(P, n+1) int64 integer holdings, rows in lexicographic point order."""
+        return np.asarray([p.coords for p in self.points],
+                          dtype=np.int64).reshape(-1, self.n + 1)
+
+    @cached_property
     def array(self) -> np.ndarray:
         """(P, n+1) float weights, rows in lexicographic point order."""
-        if not self.points:
-            return np.zeros((0, self.n + 1))
-        return np.asarray([p.coords for p in self.points], dtype=np.float64) / self.N
+        return self.holdings / self.N
 
     def __len__(self):
         return len(self.points)

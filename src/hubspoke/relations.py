@@ -6,15 +6,24 @@ matrix of member pairs.  Formula kinds (tracking, turnover, the projector
 screens) test at an absolute tolerance of 1e-9, so off-lattice images of
 maps can be tested too.  Relations given by a finite pair set are backed
 by their incidence mask (`Relation.from_mask`): a vector off the lattice
-or off the space is never a member.  The incidence mask, the pair set,
-single-pair membership and menu actions are all derived from `test`;
-projectors and the diagonal also carry their codomain screen, so a menu
-action through them is the hub set intersected with the screen.
+or off the space is never a member.  Single-pair membership is derived
+from `test`, the pair set from the incidence mask.
+
+On the lattice, a translation-invariant relation -- tracking with
+identity attributes, turnover, and the diagonal projectors -- is a
+dilation: x relates to y iff y - x lies in a small integer offset stencil
+D (in holdings units) and y passes the relation's screen, if any.  Its
+incidence mask and menu actions scatter the domain holdings over D and
+look the results up among the codomain points, at a cost of |hubs| x |D|
+lookups instead of |hubs| x |codomain| float tests.  D is built on first
+use, and only when its bounding box (2r+1)^n is no larger than the
+codomain; otherwise `test` is streamed over codomain chunks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,9 +43,18 @@ MASK_LIMIT = 50_000_000
 PAIR_LIMIT = 5_000_000
 
 _CHUNK = 256
+# (hub, offset) pairs per block of the stencil scatter: the (pairs, d)
+# int64 holdings block and its lookup temporaries stay a few MB.
+_SCATTER_PAIRS = 1 << 16
 
 Test = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Screen = Callable[[np.ndarray], np.ndarray]
+# (r, keep): every offset of the stencil has |delta_i| <= r, and keep(D)
+# selects the stencil's rows among (k, d) integer offsets D with sum 0.
+StencilRule = tuple[int, Callable[[np.ndarray], np.ndarray]]
+
+# The stencil {0} of the diagonal and the projectors.
+_ORIGIN: StencilRule = (0, lambda D: np.ones(len(D), dtype=bool))
 
 
 def _attr_matrix(g, dim: int) -> np.ndarray:
@@ -51,6 +69,37 @@ def _attr_matrix(g, dim: int) -> np.ndarray:
     return m
 
 
+def _holdings_index(space: LatticeSpace) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized lookup of integer holdings rows among the points of `space`.
+
+    Rows are keyed in base N+1.  The lookup returns each row's point index,
+    or -1 for a row with a holding outside [0, N] or not a point of the
+    space.
+    """
+    N, d = space.N, space.n + 1
+    if (N + 1) ** d > np.iinfo(np.int64).max:
+        raise InvalidArgument(f"the ({space.n}, {N}) lattice is too large to index")
+    radix = (N + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = space.holdings @ radix
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def index(C: np.ndarray) -> np.ndarray:
+        out = np.full(len(C), -1, dtype=np.intp)
+        if C.shape[1] != d or not len(keys):
+            return out
+        # column by column: reductions along a short row axis are slow
+        ok = np.logical_and.reduce([(c >= 0) & (c <= N) for c in C.T])
+        k = C @ radix
+        k[~ok] = -1                   # no point has a negative key
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        hit = keys[pos] == k
+        out[hit] = order[pos[hit]]
+        return out
+
+    return index
+
+
 def _lattice_index(space: LatticeSpace) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized lookup of weight-vector rows among the points of `space`.
 
@@ -58,26 +107,14 @@ def _lattice_index(space: LatticeSpace) -> Callable[[np.ndarray], np.ndarray]:
     1e-9.  The lookup returns each row's point index, or -1 for a row off
     the lattice or off the space.
     """
-    N, d = space.N, space.n + 1
-    if (N + 1) ** d > np.iinfo(np.int64).max:
-        raise InvalidArgument(f"the ({space.n}, {N}) lattice is too large to index")
-    radix = (N + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    keys = np.rint(space.array * N).astype(np.int64) @ radix
-    order = np.argsort(keys)
-    keys = keys[order]
+    N = space.N
+    by_holdings = _holdings_index(space)
 
     def index(V: np.ndarray) -> np.ndarray:
-        out = np.full(len(V), -1, dtype=np.intp)
-        if V.shape[1] != d or not len(keys):
-            return out
         C = np.rint(V * N)
-        ok = ((np.abs(C / N - V).max(axis=1) <= FLOAT_TOL)
+        ok = ((np.abs(C / N - V).max(axis=1, initial=0.0) <= FLOAT_TOL)
               & (C >= 0).all(axis=1) & (C <= N).all(axis=1))
-        k = np.where(ok[:, None], C, 0).astype(np.int64) @ radix
-        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-        hit = ok & (keys[pos] == k)
-        out[hit] = order[pos[hit]]
-        return out
+        return by_holdings(np.where(ok[:, None], C, -1).astype(np.int64))
 
     return index
 
@@ -94,12 +131,17 @@ class Relation:
     `screen(Y)`, set on projectors and the diagonal, is the closed screen E
     of a relation {(y, y): y in E}.  `mask`, when given, is the incidence
     matrix over the two point sets and agrees with `test` on them.
+    `stencil_rule`, set on translation-invariant kinds, defines the integer
+    offset stencil D with which, on the two point sets, (x, y) is a member
+    iff y - x is in D and y passes `screen`; `stencil` builds D on first
+    use, subject to the cost rule in the module docstring.
     """
 
     def __init__(self, domain: LatticeSpace, codomain: LatticeSpace,
                  kind: str, params: dict, test: Test,
                  screen: Optional[Screen] = None,
-                 mask: Optional[np.ndarray] = None):
+                 mask: Optional[np.ndarray] = None,
+                 stencil_rule: Optional[StencilRule] = None):
         if domain.N != codomain.N:
             raise InvalidArgument(
                 "relations require a shared resolution: "
@@ -111,6 +153,7 @@ class Relation:
         self.params = params
         self.test = test
         self.screen = screen
+        self.stencil_rule = stencil_rule
         self._mask = mask
         self._pairs: Optional[tuple[tuple[GridPoint, GridPoint], ...]] = None
 
@@ -136,6 +179,44 @@ class Relation:
 
         return cls(domain, codomain, kind, params or {}, test, mask=mask)
 
+    # -- the integer stencil -------------------------------------------------
+
+    @cached_property
+    def stencil(self) -> Optional[np.ndarray]:
+        """(k, d) int64 offsets D in holdings units, or None.
+
+        None when the relation has no stencil rule, or when the rule's
+        bounding box (2r+1)^n holds more offsets than the codomain has
+        points, so scattering would cost more than streaming `test`.
+        """
+        if self.stencil_rule is None:
+            return None
+        r, keep = self.stencil_rule
+        n = self.codomain.n
+        if (2 * r + 1) ** n > len(self.codomain):
+            return None
+        box = np.indices((2 * r + 1,) * n).reshape(n, (2 * r + 1) ** n).T - r
+        D = np.hstack([box, -box.sum(axis=1, keepdims=True)])
+        return D[keep(D)]
+
+    @cached_property
+    def _codomain_index(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _holdings_index(self.codomain)
+
+    def _scatter(self, rows: np.ndarray):
+        """Yield (k, j) index blocks: codomain point j is domain row rows[k]
+        plus an offset of the stencil (the screen is not applied)."""
+        H = self.domain.holdings[rows]
+        D = self.stencil
+        step = max(1, _SCATTER_PAIRS // max(len(H), 1))
+        for start in range(0, len(D), step):
+            # offset-major: the hubs are in key order, so each offset's
+            # lookups arrive sorted
+            T = D[start:start + step, None, :] + H[None, :, :]
+            j = self._codomain_index(T.reshape(-1, T.shape[2])).reshape(T.shape[:2])
+            m, k = np.nonzero(j >= 0)
+            yield k, j[m, k]
+
     # -- materialization ---------------------------------------------------
 
     def mask(self) -> np.ndarray:
@@ -148,11 +229,17 @@ class Relation:
                     "use the action/menu path for large relations"
                 )
             X, Y = self.domain.array, self.codomain.array
-            # chunk rows so the (P, Q, d) broadcast intermediates stay small
             out = np.zeros((len(X), len(Y)), dtype=bool)
-            step = max(1, 2_000_000 // max(len(Y), 1))
-            for start in range(0, len(X), step):
-                out[start:start + step] = self.test(X[start:start + step], Y)
+            if self.stencil is not None:
+                for i, j in self._scatter(np.arange(len(X))):
+                    out[i, j] = True
+                if self.screen is not None:
+                    out &= self.screen(Y)
+            else:
+                # chunk rows so the (P, Q, d) broadcast intermediates stay small
+                step = max(1, 2_000_000 // max(len(Y), 1))
+                for start in range(0, len(X), step):
+                    out[start:start + step] = self.test(X[start:start + step], Y)
             self._mask = out
         return self._mask
 
@@ -187,20 +274,21 @@ class Relation:
     def menu_mask(self, hub_mask: np.ndarray) -> np.ndarray:
         """For selected domain rows, which codomain points are hit by some hub.
 
-        Reads the cached mask when there is one.  A screened relation hits
-        the hubs that are codomain points and pass the screen.  Otherwise
-        `test` is streamed over codomain chunks, so big menus never
-        materialize the full incidence mask.
+        Reads the cached mask when there is one.  A relation with a stencil
+        hits the hub holdings plus each offset that are codomain points
+        and pass the screen, if any.  Otherwise `test` is streamed over
+        codomain chunks, so big menus never materialize the full incidence
+        mask.
         """
         if self._mask is not None:
             return self._mask[hub_mask].any(axis=0)
-        X = self.domain.array[hub_mask]
         Y = self.codomain.array
         hit = np.zeros(len(Y), dtype=bool)
-        if self.screen is not None:
-            j = _lattice_index(self.codomain)(X)
-            hit[j[j >= 0]] = True
-            return hit & self.screen(Y)
+        if self.stencil is not None:
+            for _, j in self._scatter(np.flatnonzero(hub_mask)):
+                hit[j] = True
+            return hit if self.screen is None else hit & self.screen(Y)
+        X = self.domain.array[hub_mask]
         if len(X):
             for start in range(0, len(Y), _CHUNK):
                 block = slice(start, start + _CHUNK)
@@ -246,7 +334,7 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
     """
     if kind == "track":
         eps = float(params["epsilon"])
-        if eps < 0:
+        if not eps >= 0:
             raise InvalidArgument("tracking tolerance must be non-negative")
         gA = _attr_matrix(params.get("gA"), domain.n + 1)
         gB = _attr_matrix(params.get("gB"), codomain.n + 1)
@@ -258,12 +346,20 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
             d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
             return d2 <= (eps + FLOAT_TOL) ** 2
 
+        rule = None
+        identity = np.eye(domain.n + 1)
+        if np.array_equal(gA, identity) and np.array_equal(gB, identity):
+            # ||delta||_2 <= reach in holdings units, so |delta_i| <= reach
+            reach = (eps + FLOAT_TOL) * domain.N
+            rule = (int(min(reach, domain.N)),
+                    lambda D, bound=reach ** 2: (D * D).sum(axis=1) <= bound)
         return Relation(domain, codomain, "track",
-                        {"epsilon": eps, "gA": gA, "gB": gB}, test)
+                        {"epsilon": eps, "gA": gA, "gB": gB}, test,
+                        stencil_rule=rule)
 
     if kind == "turnover":
         kappa = float(params["kappa"])
-        if kappa < 0:
+        if not kappa >= 0:
             raise InvalidArgument("turnover budget must be non-negative")
         if domain.n != codomain.n:
             raise InvalidArgument("turnover relates spaces over the same assets")
@@ -272,7 +368,13 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
             d = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
             return d <= kappa + FLOAT_TOL
 
-        return Relation(domain, codomain, "turnover", {"kappa": kappa}, test)
+        # ||delta||_1 <= reach in holdings units; delta sums to 0, so its
+        # positive and negative parts each sum to at most reach / 2
+        reach = (kappa + FLOAT_TOL) * domain.N
+        rule = (int(min(reach / 2, domain.N)),
+                lambda D, bound=reach: np.abs(D).sum(axis=1) <= bound)
+        return Relation(domain, codomain, "turnover", {"kappa": kappa}, test,
+                        stencil_rule=rule)
 
     if kind in ("fee_cap", "liquidity_cap", "position_caps", "maintenance"):
         return _projector(domain, codomain, kind, params)
@@ -354,7 +456,8 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
     def test(X, Y, screen=screen):
         return _same(X, Y) & screen(Y)[None, :]
 
-    return Relation(domain, codomain, kind, stored, test, screen=screen)
+    return Relation(domain, codomain, kind, stored, test, screen=screen,
+                    stencil_rule=_ORIGIN)
 
 
 def relation_from_dict(domain: LatticeSpace, codomain: LatticeSpace, d: dict) -> Relation:
@@ -367,7 +470,8 @@ def relation_from_dict(domain: LatticeSpace, codomain: LatticeSpace, d: dict) ->
 def diagonal(space: LatticeSpace) -> Relation:
     """The vertical identity Delta_K."""
     return Relation(space, space, "diagonal", {}, _same,
-                    screen=lambda Y: np.ones(len(Y), dtype=bool))
+                    screen=lambda Y: np.ones(len(Y), dtype=bool),
+                    stencil_rule=_ORIGIN)
 
 
 def full_relation(domain: LatticeSpace, codomain: LatticeSpace) -> Relation:
@@ -408,10 +512,18 @@ def compose_vertical(S: Relation, R: Relation) -> Relation:
 
 
 def dagger(R: Relation) -> Relation:
-    """Converse relation: pairs swapped, domain and codomain swapped."""
+    """Converse relation: pairs swapped, domain and codomain swapped.
+
+    A stencil D becomes -D; a screen stays, as it screens a diagonal.
+    """
+    rule = None
+    if R.stencil_rule is not None:
+        r, keep = R.stencil_rule
+        rule = (r, lambda D: keep(-D))
     return Relation(R.codomain, R.domain, f"dagger[{R.kind}]", R.params,
                     lambda X, Y: R.test(Y, X).T, screen=R.screen,
-                    mask=None if R._mask is None else R._mask.T)
+                    mask=None if R._mask is None else R._mask.T,
+                    stencil_rule=rule)
 
 
 def intersect(R: Relation, Rp: Relation) -> Relation:

@@ -85,7 +85,42 @@ class TestMenuAndMaps:
         code, out = run(capsys, "menu", "--hub", str(path),
                         "--apply", "track:0.1", "--apply", "fee_cap:6")
         assert code == 0
-        assert "menu:" in out and "track" in out and "fee_cap" in out
+        assert "track" in out and "fee_cap" in out
+        # integer oracle at 1/20: x1 <= 12 units, squared distance <= 2^2
+        # units, fee 10 y0 + 5 y1 <= 6 bps * 20
+        pts = [(a, b, 20 - a - b) for a in range(21) for b in range(21 - a)]
+        hubs = [x for x in pts if x[0] <= 12]
+        count = sum(1 for y in pts
+                    if 10 * y[0] + 5 * y[1] <= 120
+                    and any(sum((u - v) ** 2 for u, v in zip(x, y)) <= 4
+                            for x in hubs))
+        assert f"menu: {count} points" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--apply", "track"],
+        ["--apply", "track:abc"],
+        ["--apply", "fee_cap:6:1,x,0"],
+        ["--apply", "liquidity_cap:0.3"],
+        ["--apply", "bogus:1"],
+        ["--apply", "track:nan"],
+    ])
+    def test_menu_bad_apply_exit_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "hub.json"
+        path.write_text(json.dumps({"n": 2, "N": 10, "constraints": []}))
+        code = main(["menu", "--hub", str(path)] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--template", "core-satellite"],
+    ])
+    def test_menu_missing_input_exit_two(self, capsys, argv):
+        code = main(["menu"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_core_satellite_template(self, capsys, tmp_path):
         space = {"n": 2, "N": 10, "constraints": []}

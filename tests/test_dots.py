@@ -48,6 +48,14 @@ class TestAction:
         assert len(m2) == 3511
         assert m2.provenance[-2:] == ("track(epsilon=0.05)", "fee_cap(tau=6.0)")
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(0, 3), N=st.integers(1, 8))
+    def test_menu_points_in_gridpoint_order(self, seed, n, N):
+        K = enumerate_simplex(n, N)
+        rng = np.random.default_rng(seed)
+        picked = [K.points[i] for i in rng.integers(0, len(K), size=2 * len(K))]
+        assert Menu(K, picked).points == tuple(sorted(set(picked)))
+
     def test_empty_relation_gives_empty_menu(self):
         K = enumerate_simplex(1, 6)
         menu = action(K, empty_relation(K, K))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -321,13 +322,102 @@ def _projector_case(kind, k):
     return {}, lambda c, N: True
 
 
-def _spaces(shape, N, cap):
-    """(domain, codomain) on Delta^2 at 1/N: equal, or a restricted hub on
+def _spaces(shape, N, cap, n=2):
+    """(domain, codomain) on Delta^n at 1/N: equal, or a restricted hub on
     one side and the ambient lattice on the other."""
-    amb = enumerate_simplex(2, N)
-    hub = restrict(amb, [parse_constraint(f"x1<={cap}/10", 3)])
+    amb = enumerate_simplex(n, N)
+    hub = restrict(amb, [parse_constraint(f"x1<={cap}/10", n + 1)])
     return {"same": (amb, amb), "hub_to_amb": (hub, amb),
             "amb_to_hub": (amb, hub)}[shape]
+
+
+def _streamed(R):
+    """R with its membership rule alone: no stencil, screen or mask."""
+    return Relation(R.domain, R.codomain, R.kind, R.params, R.test)
+
+
+def _menu_of(R, menu):
+    hub_mask = np.zeros(len(R.domain), dtype=bool)
+    hub_mask[[R.domain.index_of(p) for p in menu.points]] = True
+    return R.menu_mask(hub_mask)
+
+
+class TestStencilDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["track", "turnover"]),
+           shape=st.sampled_from(["same", "hub_to_amb", "amb_to_hub"]),
+           n=st.integers(1, 3), N=st.integers(1, 20), cap=st.integers(0, 10),
+           below=st.sampled_from([None, 0.0, 0.5, 2.0]), a=st.integers(0, 4),
+           b=st.integers(0, 4), u=st.floats(0.0, 0.6), converse=st.booleans(),
+           seed=st.integers(0, 10_000))
+    def test_stencil_path_matches_streamed_test(self, kind, shape, n, N, cap,
+                                                below, a, b, u, converse, seed):
+        domain, codomain = _spaces(shape, N, cap, n)
+        # below=None draws the bound uniformly; otherwise the bound is the
+        # norm of the lattice offset delta, less `below` x 1e-9: offsets of
+        # that norm lie on the bound, inside the 1e-9 tolerance, or past it
+        delta = np.array([a + b, -(a + b)] if n == 1 else [a, b, -(a + b)])
+        if kind == "track":
+            bound = np.sqrt((delta ** 2).sum()) / N
+        else:
+            bound = np.abs(delta).sum() / N
+        if below is None:
+            bound = u
+        else:
+            bound = max(bound - below * 1e-9, 0.0)
+        R = build_relation(domain, codomain, kind,
+                           **{"epsilon" if kind == "track" else "kappa": bound})
+        if converse:
+            R = dagger(R)
+        ref = _streamed(R)
+        rng = np.random.default_rng(seed)
+        menu = Menu(R.domain, [p for p in R.domain.points if rng.random() < 0.3])
+        stencil = R.stencil
+        if stencil is not None:
+            assert not stencil.sum(axis=1).any()
+        assert np.array_equal(_menu_of(R, menu), _menu_of(ref, menu))
+        assert np.array_equal(R.mask(), ref.mask())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_offsets_match_integer_oracle(self, n):
+        # a reach of 6.2 units admits offsets such as (5, -2, -3), whose
+        # largest holding change is 0.81 of the reach
+        N = 30
+        K = enumerate_simplex(n, N)
+        box = [d + (-sum(d),) for d in itertools.product(range(-N, N + 1), repeat=n)]
+        for epsilon in (0.0, 0.15, 6.2 / N):
+            reach = (epsilon + 1e-9) * N
+            want = {d for d in box if sum(x * x for x in d) <= reach ** 2}
+            R = build_relation(K, K, "track", epsilon=epsilon)
+            assert R.stencil is not None
+            assert set(map(tuple, R.stencil.tolist())) == want
+            assert set(map(tuple, dagger(R).stencil.tolist())) == want
+        for kappa in (0.0, 0.2, 0.3):
+            reach = (kappa + 1e-9) * N
+            want = {d for d in box if sum(map(abs, d)) <= reach}
+            R = build_relation(K, K, "turnover", kappa=kappa)
+            assert R.stencil is not None
+            assert set(map(tuple, R.stencil.tolist())) == want
+            assert set(map(tuple, dagger(R).stencil.tolist())) == want
+
+    def test_published_stencil_and_non_identity_attributes(self):
+        K = enumerate_simplex(2, 100)
+        assert len(build_relation(K, K, "track", epsilon=0.05).stencil) == 43
+        assert build_relation(K, K, "track", epsilon=0.05,
+                              gA=np.ones((1, 3)), gB=np.ones((1, 3))).stencil is None
+
+    def test_box_larger_than_codomain_streams(self):
+        # r = 5 at 1/5: an 11^2 box against 21 codomain points
+        K = enumerate_simplex(2, 5)
+        R = build_relation(K, K, "track", epsilon=1.5)
+        assert R.stencil_rule is not None and R.stencil is None
+        hub = Menu(K, K.points[:3])
+        assert np.array_equal(_menu_of(R, hub), _menu_of(_streamed(R), hub))
+        assert R.mask().all()
+        small = restrict(K, [parse_constraint("x1>=1", 3)])
+        tight = build_relation(K, small, "turnover", kappa=0.4)
+        assert tight.stencil is None     # r = 1: a 3^2 box against 1 point
+        assert np.array_equal(tight.mask(), _streamed(tight).mask())
 
 
 class TestScreenDifferential:
@@ -355,9 +445,12 @@ class TestScreenDifferential:
         masked = build()
         masked.mask()
         via_mask = action(menu, masked)
+        via_test = action(menu, _streamed(screened))
         oracle = {p.coords for p in menu.points
                   if p.coords in codomain._index and exact(p.coords, N)}
-        assert via_screen.point_set() == via_mask.point_set() == oracle
+        assert (via_screen.point_set() == via_mask.point_set()
+                == via_test.point_set() == oracle)
+        assert np.array_equal(masked.mask(), _streamed(screened).mask())
 
 
 class TestFromMask:
