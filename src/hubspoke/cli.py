@@ -18,6 +18,7 @@ from .dots import Menu, WiringTemplate, action, apply_template
 from .geometry import (
     InvalidArgument,
     LatticeSpace,
+    LinearConstraint,
     LinearFunctional,
     enumerate_simplex,
     parse_constraint,
@@ -148,8 +149,15 @@ def cmd_menu(args) -> int:
         if not args.hub:
             raise InvalidArgument("menu needs --hub or --template")
         with open(args.hub, encoding="utf-8") as fh:
-            hub = LatticeSpace.from_dict(json.load(fh))
-        ambient = enumerate_simplex(hub.n, hub.N)
+            hub_dict = json.load(fh)
+        if "points" in hub_dict:
+            hub = LatticeSpace.from_dict(hub_dict)
+            ambient = enumerate_simplex(hub.n, hub.N)
+        else:
+            # One enumeration serves the ambient lattice and the hub it bounds.
+            ambient = enumerate_simplex(hub_dict["n"], hub_dict["N"])
+            hub = restrict(ambient, [LinearConstraint.from_dict(c)
+                                     for c in hub_dict.get("constraints", [])])
         menu = Menu(hub, hub.points)
         for token in args.apply or []:
             menu = action(menu, _parse_apply(token, ambient))

@@ -105,15 +105,20 @@ class LinearConstraint:
             return lhs >= rhs
         return lhs == rhs
 
-    def satisfied_by_vector(self, v: Sequence[float], tol: float = FLOAT_TOL) -> bool:
-        """Tolerance check for continuous (off-lattice) weight vectors."""
-        lhs = float(np.dot([float(c) for c in self.coeffs], np.asarray(v, dtype=float)))
+    def satisfied_by_rows(self, V: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
+        """Tolerance check for continuous (off-lattice) weight vectors, one per row.
+
+        Each row's left side is its own dot product, taken by the kernel
+        np.dot uses for a single vector, so a row gets the verdict it
+        would get alone.
+        """
+        lhs = (V[:, None, :] @ self.coeff_array())[:, 0]
         rhs = float(self.bound)
         if self.sense == "<=":
             return lhs <= rhs + tol
         if self.sense == ">=":
             return lhs >= rhs - tol
-        return abs(lhs - rhs) <= tol
+        return np.abs(lhs - rhs) <= tol
 
     def coeff_array(self) -> np.ndarray:
         return np.asarray([float(c) for c in self.coeffs], dtype=np.float64)
@@ -223,22 +228,39 @@ class LatticeSpace:
             raise InvalidArgument(f"{p} is not a point of this space") from None
 
     def contains_vector(self, v: Sequence[float], tol: float = FLOAT_TOL) -> bool:
-        """Membership test for a continuous weight vector.
+        """Membership test for one continuous weight vector (see contains_rows)."""
+        return bool(self.contains_rows(np.asarray(v, dtype=float)[None], tol)[0])
 
-        For constraint-defined spaces this checks the simplex conditions and
-        every constraint at tolerance; for explicit spaces it requires
-        proximity to a member point.
+    def contains_rows(self, V: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
+        """Membership of continuous weight vectors, one per row of V: (M,) bool.
+
+        For constraint-defined spaces a row must have no coordinate below
+        -tol, sum to 1 within tol and satisfy every constraint within tol;
+        for explicit spaces it must lie within tol of a member point in
+        every coordinate.  Input that is not (M, n+1) gives all False.
+
+        A row's verdict does not depend on the other rows: its sum, its
+        constraint dot products (the kernel np.dot uses for one vector) and
+        its comparisons are the ones a lone vector gets, bit for bit, so
+        contains_rows(V)[i] == contains_vector(V[i]) always.
         """
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n + 1,):
-            return False
+        V = np.ascontiguousarray(V, dtype=float)
+        if V.ndim != 2 or V.shape[1] != self.n + 1:
+            return np.zeros(len(V), dtype=bool)
         if self.explicit:
-            if not self.points:
-                return False
-            return bool(np.min(np.abs(self.array - v).max(axis=1)) <= tol)
-        if np.any(v < -tol) or abs(float(v.sum()) - 1.0) > tol:
-            return False
-        return all(c.satisfied_by_vector(v, tol) for c in self.constraints)
+            out = np.zeros(len(V), dtype=bool)
+            P = self.array
+            step = max(1, 2**20 // max(1, P.size))   # ~2^20 differences per block
+            for start in range(0, len(V), step):
+                block = V[start:start + step]
+                near = np.abs(P[None, :, :] - block[:, None, :]) <= tol
+                out[start:start + step] = near.all(axis=2).any(axis=1)
+            return out
+        # Negated comparisons, so that a NaN sum fails neither simplex test.
+        out = ~np.any(V < -tol, axis=1) & ~(np.abs(V.sum(axis=1) - 1.0) > tol)
+        for c in self.constraints:
+            out &= c.satisfied_by_rows(V, tol)
+        return out
 
     def to_dict(self) -> dict:
         d = {"n": self.n, "N": self.N,

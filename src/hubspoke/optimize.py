@@ -146,12 +146,14 @@ class ReimplMap:
             self._check_total_and_into()
 
     def _check_total_and_into(self):
-        for p in self.domain.points:
-            img = self.evaluate(p)
-            if not self.codomain.contains_vector(img):
-                raise InvalidArgument(
-                    f"map {self.name} leaves its codomain at {p}: {img.tolist()}"
-                )
+        images = [self.evaluate(p) for p in self.domain.points]
+        outside = np.flatnonzero(~self.codomain.contains_rows(np.asarray(images)))
+        if len(outside):
+            i = int(outside[0])
+            raise InvalidArgument(
+                f"map {self.name} leaves its codomain at {self.domain.points[i]}: "
+                f"{images[i].tolist()}"
+            )
 
     def evaluate(self, x) -> np.ndarray:
         """Image of a GridPoint (or, for affine/composite rules, any vector)."""

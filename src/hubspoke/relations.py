@@ -554,12 +554,13 @@ def graph_of(f) -> MapAsRelation:
     domain: LatticeSpace = f.domain
     codomain: LatticeSpace = f.codomain
     images = [np.asarray(f.evaluate(p), dtype=float) for p in domain.points]
-    for p, img in zip(domain.points, images):
-        if not codomain.contains_vector(img):
-            raise InvalidArgument(
-                f"map is not into its codomain: f({p}) = {img.tolist()}"
-            )
     img_matrix = np.asarray(images) if images else np.zeros((0, codomain.n + 1))
+    outside = np.flatnonzero(~codomain.contains_rows(img_matrix))
+    if len(outside):
+        i = int(outside[0])
+        raise InvalidArgument(
+            f"map is not into its codomain: f({domain.points[i]}) = {images[i].tolist()}"
+        )
     row_of = _lattice_index(domain)
 
     def test(X, Y):

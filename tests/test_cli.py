@@ -122,6 +122,24 @@ class TestMenuAndMaps:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("hub", [
+        {"n": 2, "N": 20, "constraints": [parse_constraint("x1<=0.6", 3).to_dict()]},
+        {"n": 2, "N": 20, "constraints": [], "points": [[10, 5, 5], [0, 0, 20]]},
+    ])
+    def test_menu_enumerates_the_lattice_once(self, capsys, tmp_path, monkeypatch, hub):
+        import hubspoke.cli as cli
+
+        calls = []
+        real = cli.enumerate_simplex
+        monkeypatch.setattr(cli, "enumerate_simplex",
+                            lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr("hubspoke.geometry.enumerate_simplex", cli.enumerate_simplex)
+        path = tmp_path / "hub.json"
+        path.write_text(json.dumps(hub))
+        code, out = run(capsys, "menu", "--hub", str(path), "--apply", "track:0.1")
+        assert code == 0 and "menu: " in out
+        assert calls == [(2, 20)]
+
     def test_core_satellite_template(self, capsys, tmp_path):
         space = {"n": 2, "N": 10, "constraints": []}
         a = tmp_path / "a.json"
@@ -167,6 +185,20 @@ class TestStochasticCommands:
         assert code == 0
         payload = json.loads(out)
         assert 0.0 <= payload["violation_rate"] < 0.1
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--sigma", "nan"],
+        ["kernel", "--sigma", "inf"],
+        ["kernel", "--hub", "nan,0.5,0.5"],
+        ["cure", "--constraint", "x1<=0.5", "--weights", "1,1"],
+        ["cure", "--constraint", "x1<=0.5", "--weights", "1,1,1,1"],
+        ["cure", "--constraint", "x1<=0.5", "--weights", "nan,1,1"],
+    ])
+    def test_invalid_kernel_or_weights_exit_two(self, capsys, argv):
+        code = main(argv + ["--n", "200"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_compare_single_scenario(self, capsys):
         code, out = run(capsys, "compare", "--scenario", "banana",

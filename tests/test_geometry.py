@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubspoke.geometry import (
+    FLOAT_TOL,
+    SENSES,
     GridPoint,
     InvalidArgument,
     LatticeSpace,
@@ -120,6 +123,149 @@ class TestContains:
         amb = enumerate_simplex(2, 10)
         with pytest.raises(InvalidArgument):
             contains(amb, GridPoint((5, 5, 10), 20))
+
+
+def contains_vector_oracle(space, v, tol=FLOAT_TOL):
+    """The per-vector membership rule that contains_rows batches, kept as the oracle."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (space.n + 1,):
+        return False
+    if space.explicit:
+        if not space.points:
+            return False
+        return bool(np.min(np.abs(space.array - v).max(axis=1)) <= tol)
+    if np.any(v < -tol) or abs(float(v.sum()) - 1.0) > tol:
+        return False
+    for k in space.constraints:
+        lhs = float(np.dot([float(a) for a in k.coeffs], v))
+        rhs = float(k.bound)
+        if k.sense == "<=":
+            ok = lhs <= rhs + tol
+        elif k.sense == ">=":
+            ok = lhs >= rhs - tol
+        else:
+            ok = abs(lhs - rhs) <= tol
+        if not ok:
+            return False
+    return True
+
+
+# Offsets around the 1e-9 tolerance: inside it, on it, and past it.
+NUDGES = (0.0, 0.5e-9, -0.5e-9, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 2e-9, -2e-9)
+
+
+@st.composite
+def spaces_and_rows(draw):
+    """A constraint or explicit space on a small lattice, and rows near its points.
+
+    Constraints are often tight at a lattice point, so nudged rows land
+    0.5e-9 inside or 2e-9 outside a bound; a nudge on one coordinate also
+    moves the row sum, and on a zero coordinate it makes a small negative
+    holding.  A nudge moved between two coordinates keeps the sum.
+    """
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 12))
+    amb = enumerate_simplex(n, N)
+    pick = st.integers(0, len(amb) - 1)
+    if draw(st.booleans()):
+        chosen = draw(st.lists(pick, max_size=len(amb)))
+        space = LatticeSpace.from_points(n, N, [amb.points[i] for i in chosen])
+    else:
+        cons = []
+        for _ in range(draw(st.integers(0, 3))):
+            coeffs = tuple(draw(st.lists(
+                st.fractions(-3, 3, max_denominator=4), min_size=n + 1, max_size=n + 1)))
+            tight = amb.points[draw(pick)]
+            bound = draw(st.one_of(
+                st.just(sum(a * w for a, w in zip(coeffs, tight.weights))),
+                st.fractions(-1, 2, max_denominator=N)))
+            cons.append(LinearConstraint(coeffs, bound, draw(st.sampled_from(SENSES))))
+        space = restrict(amb, cons)
+    rows = []
+    for i, a, b, nudge, moved in draw(st.lists(
+            st.tuples(pick, st.integers(0, n), st.integers(0, n),
+                      st.sampled_from(NUDGES), st.booleans()),
+            min_size=1, max_size=40)):
+        v = amb.array[i].copy()
+        v[a] += nudge
+        if moved:
+            v[b] -= nudge
+        rows.append(v)
+    return space, np.asarray(rows)
+
+
+class TestContainsRows:
+    @settings(max_examples=300, deadline=None)
+    @given(spaces_and_rows())
+    def test_matches_per_vector_oracle(self, case):
+        space, V = case
+        expected = [contains_vector_oracle(space, v) for v in V]
+        assert space.contains_rows(V).tolist() == expected
+        assert [space.contains_vector(v) for v in V] == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(spaces_and_rows(), st.sampled_from([-1, 1]))
+    def test_wrong_width_is_all_false(self, case, extra):
+        space, V = case
+        W = V[:, :extra] if extra < 0 else np.hstack([V, np.zeros((len(V), 1))])
+        assert space.contains_rows(W).tolist() == [False] * len(V)
+        assert not any(space.contains_vector(w) for w in W)
+        assert not space.contains_vector(V)
+
+    def test_tolerance_edges(self):
+        hub = restrict(enumerate_simplex(2, 10), [c("x1<=0.5"), c("x2>=0.2")])
+        rows = np.array([
+            [0.5 + 0.5e-9, 0.3, 0.2 - 0.5e-9],   # on both bounds, within tol
+            [0.5 + 2e-9, 0.3, 0.2 - 2e-9],       # past the x1 cap
+            [0.3, 0.2 - 2e-9, 0.5 + 2e-9],       # past the x2 floor
+            [0.5, 0.5 + 0.5e-9, -0.5e-9],        # small negative holding
+            [0.5, 0.5 + 2e-9, -2e-9],            # negative past tol
+            [0.5, 0.3, 0.2 + 0.5e-9],            # sum within tol
+            [0.5, 0.3, 0.2 + 2e-9],              # sum past tol
+        ])
+        assert hub.contains_rows(rows).tolist() == [
+            True, False, False, True, False, True, False]
+        assert hub.contains_rows(rows).tolist() == [
+            contains_vector_oracle(hub, v) for v in rows]
+        plane = restrict(enumerate_simplex(2, 10), [c("x3=0.2")])
+        rows = np.array([[0.4, 0.4 - 0.5e-9, 0.2 + 0.5e-9],
+                         [0.4, 0.4 - 1.5e-9, 0.2 + 1.5e-9]])
+        assert plane.contains_rows(rows).tolist() == [True, False]
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_dot_products_are_single_vector_ones(self, d):
+        # At tol 0 an equality constraint through row i's own dot product
+        # admits row i only if the batched dot product matches it bit for bit.
+        # Rows are multiples of 1/1024, so they sum to exactly 1.
+        rng = np.random.default_rng(d)
+        V = rng.multinomial(1024, np.ones(d) / d, size=200) / 1024
+        coeffs = tuple(Fraction(x) for x in rng.normal(size=d))
+        amb = enumerate_simplex(d - 1, 2)
+        for i in range(20):
+            bound = Fraction(float(np.dot([float(a) for a in coeffs], V[i])))
+            space = restrict(amb, [LinearConstraint(coeffs, bound, "==")])
+            got = space.contains_rows(V, tol=0.0)
+            assert got[i]
+            assert got.tolist() == [contains_vector_oracle(space, v, tol=0.0) for v in V]
+
+    def test_explicit_space_in_several_blocks(self):
+        amb = enumerate_simplex(3, 20)
+        space = LatticeSpace.from_points(3, 20, amb.points[::2])
+        rng = np.random.default_rng(0)
+        V = amb.array + rng.choice(NUDGES, size=amb.array.shape)
+        assert space.contains_rows(V).tolist() == [
+            contains_vector_oracle(space, v) for v in V]
+
+    def test_non_finite_rows_match_oracle(self):
+        amb = enumerate_simplex(2, 10)
+        spaces = [amb, restrict(amb, [c("x1<=0.5")]),
+                  LatticeSpace.from_points(2, 10, amb.points[:5]),
+                  LatticeSpace.from_points(2, 10, [])]
+        rows = np.array([[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0],
+                         [np.nan] * 3, [0.0, 0.0, 1.0]])
+        for space in spaces:
+            assert space.contains_rows(rows).tolist() == [
+                contains_vector_oracle(space, v) for v in rows]
 
 
 class TestFunctional:

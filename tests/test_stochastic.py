@@ -14,6 +14,7 @@ from hubspoke.geometry import (
 from hubspoke.optimize import identity_map
 from hubspoke.relations import build_relation, explicit_relation
 from hubspoke.stochastic import (
+    KDE_BLOCK,
     KernelSpec,
     SampleCloud,
     builtin_scenarios,
@@ -22,6 +23,7 @@ from hubspoke.stochastic import (
     gaussian_radius_oracle,
     hdr,
     hdr_pullback_check,
+    kde_density,
     lattice_components,
     metric_pullback_check,
     metric_pushforward,
@@ -107,6 +109,20 @@ class TestSampling:
             SampleCloud(hub=np.asarray(HUB),
                         samples=np.array([[0.5, 0.6, 0.1]]),
                         spec=KernelSpec(n_samples=100))
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.03, math.nan, math.inf])
+    def test_sigma_must_be_finite_positive(self, sigma):
+        with pytest.raises(InvalidArgument):
+            KernelSpec(sigma=sigma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cloud_rejected(self, bad):
+        with pytest.raises(InvalidArgument):
+            SampleCloud(hub=np.asarray(HUB),
+                        samples=np.array([[0.5, 0.5, 0.0], [bad, 0.5, 0.5]]),
+                        spec=KernelSpec(n_samples=100))
+        with pytest.raises(InvalidArgument):
+            sample_kernel(KernelSpec(n_samples=100), (bad, 0.5, 0.5))
 
 
 class TestSafetyRadius:
@@ -221,6 +237,41 @@ class TestRadiusComposition:
         assert compose_radius(rP, rQ, 1.0, "linear") >= r_meas
 
 
+def kde_oracle(samples, queries, bandwidth):
+    """The broadcast formula kde_density replaced, kept as the oracle."""
+    norm = 1.0 / (len(samples) * (2.0 * math.pi * bandwidth**2))
+    out = np.empty(len(queries))
+    h2 = 2.0 * bandwidth * bandwidth
+    for start in range(0, len(queries), 512):
+        block = queries[start:start + 512]
+        d2 = ((block[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
+        out[start:start + 512] = np.exp(-d2 / h2).sum(axis=1) * norm
+    return out
+
+
+class TestKde:
+    # The sampled larger clouds make blocks of 63, 64 and 65 queries.
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 4),
+           m=st.one_of(st.integers(1, 300),
+                       st.sampled_from([KDE_BLOCK // r for r in (63, 64, 65)])),
+           q=st.sampled_from([0, 1, 63, 64, 65, 129, 600]),
+           bandwidth=st.floats(0.005, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_broadcast_formula(self, d, m, q, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        samples = project_to_simplex(rng.normal(0.0, 0.5, (m, d)))
+        # Queries include sample points, as in the density at the cloud.
+        queries = np.vstack([samples[:q // 2], rng.random((q - min(q // 2, m), d))])
+        assert np.array_equal(kde_density(samples, queries, bandwidth),
+                              kde_oracle(samples, queries, bandwidth))
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.1, math.nan, math.inf])
+    def test_bandwidth_must_be_finite_positive(self, bandwidth):
+        samples = np.array([[0.5, 0.5]])
+        with pytest.raises(InvalidArgument):
+            kde_density(samples, samples, bandwidth)
+
+
 class TestHdr:
     def test_nesting_exact(self):
         sc = builtin_scenarios()["split_peak"]
@@ -332,6 +383,14 @@ class TestCure:
         loose = wasserstein_cure(cloud, restrict(amb, [parse_constraint("x1<=0.52", 3)]))
         assert tight.mean_cost >= loose.mean_cost
         assert tight.mean_cost - loose.mean_cost <= (1 + 3) * h
+
+    @pytest.mark.parametrize("tau", [(1, 1), (1, 1, 1, 1), (math.nan, 1, 1),
+                                     (1, math.inf, 1), ((1, 1, 1),)])
+    def test_weights_one_finite_per_asset(self, tau):
+        cloud = sample_kernel(KernelSpec(n_samples=200, seed=1), HUB)
+        S = restrict(enumerate_simplex(2, 20), [parse_constraint("x1<=0.5", 3)])
+        with pytest.raises(InvalidArgument):
+            wasserstein_cure(cloud, S, tau=tau)
 
     def test_empty_target_infeasible(self):
         from hubspoke.optimize import Infeasible
