@@ -238,7 +238,7 @@ def workflow_a(registry: Registry, ledger: EvidenceLedger,
     R = registry.relation(relation_id)
     t0 = time.perf_counter()
     x = grid_point_from_vector(hub, f.domain.N)
-    if x.coords not in f.domain._index:
+    if f.domain.index_holdings([x.coords])[0] < 0:
         raise InvalidArgument(f"hub {list(hub)} is not in the map's domain")
     y = f.evaluate(x)
     ok = R.contains_vectors(x.to_array(), y)

@@ -42,8 +42,7 @@ class Menu:
 
     def mask_on(self, space: LatticeSpace) -> np.ndarray:
         m = np.zeros(len(space), dtype=bool)
-        for p in self.points:
-            m[space.index_of(p)] = True
+        m[space.indices_of(self.points)] = True
         return m
 
     def point_set(self) -> frozenset:
@@ -83,9 +82,8 @@ def fibers_of(K: MenuLike, R: Relation) -> dict[GridPoint, tuple[GridPoint, ...]
     menu = _as_menu(K)
     mask = R.mask()
     out = {}
-    for p in menu.points:
-        row = mask[R.domain.index_of(p)]
-        out[p] = tuple(R.codomain.points[j] for j in np.nonzero(row)[0])
+    for p, i in zip(menu.points, R.domain.indices_of(menu.points)):
+        out[p] = tuple(R.codomain.points[j] for j in np.nonzero(mask[i])[0])
     return out
 
 
@@ -173,8 +171,8 @@ def determinize(domain: LatticeSpace, codomain: LatticeSpace,
 def determinize_relation(K: MenuLike, R: Relation, alpha: float) -> ReimplMap:
     menu = _as_menu(K)
     fib = fibers_of(menu, R)
-    domain = (menu.space if menu.point_set() == frozenset(p.coords for p in menu.space.points)
-              else LatticeSpace.from_points(menu.space.n, menu.space.N, menu.points))
+    domain = LatticeSpace.from_points(menu.space.n, menu.space.N, menu.points)
+    domain = menu.space if domain.same_points(menu.space) else domain
     return determinize(domain, R.codomain, fib, alpha)
 
 

@@ -1,9 +1,10 @@
 """Exact integer-grid geometry for ambient simplices and permissible spaces.
 
-Portfolios live on the standard simplex.  Everything here is discretized:
-a point is a tuple of non-negative integer holdings summing to the
-resolution N, so weights are exact rationals k/N and constraint
-evaluation never touches floating point.
+Portfolios live on the standard simplex at step 1/N.  A space is a (P, n+1)
+int64 array of non-negative integer holdings, one row per point summing to
+N, so constraints are exact integer tests on the whole array and point
+lookups are integer keys.  GridPoint, one point as a tuple, appears only
+at the API edges: parsing, printing, pair sets, fibers and map evaluation.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-# Hard caps on problem size: requests beyond this are rejected outright
-# rather than silently sampled.
+# Hard caps on problem size: requests beyond these are rejected before
+# anything is allocated, never silently sampled.
 MAX_DIMENSION = 6
 MAX_RESOLUTION = 400
+MAX_POINTS = 2_000_000
 
 SENSES = ("<=", "==", ">=")
 
@@ -32,14 +34,13 @@ class InvalidArgument(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**9)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (Fraction, int, float, str)):
+        try:
+            q = Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):  # '1/0', 'abc', nan, inf
+            pass
+        else:
+            return q.limit_denominator(10**9) if isinstance(x, float) else q
     raise InvalidArgument(f"cannot interpret {x!r} as a rational number")
 
 
@@ -78,7 +79,7 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """coeffs . weights  SENSE  bound, evaluated exactly in rationals."""
+    """coeffs . weights  SENSE  bound, exact on lattice holdings (integer arithmetic)."""
 
     coeffs: tuple[Fraction, ...]
     bound: Fraction
@@ -90,20 +91,41 @@ class LinearConstraint:
         if self.sense not in SENSES:
             raise InvalidArgument(f"sense must be one of {SENSES}, got {self.sense!r}")
 
-    def satisfied_by(self, point: GridPoint) -> bool:
-        if len(self.coeffs) != len(point.coords):
-            raise InvalidArgument(
-                f"constraint has {len(self.coeffs)} coefficients, "
-                f"point has {len(point.coords)} coordinates"
-            )
-        # Clear the 1/N denominator: compare N*lhs against N*bound in Z.
-        lhs = sum(c * k for c, k in zip(self.coeffs, point.coords))
-        rhs = self.bound * point.resolution
+    @cached_property
+    def _cleared(self) -> tuple[tuple[int, ...], int]:
+        """Integer coefficients A and bound B: the constraint times the
+        common denominator of its coefficients and bound."""
+        L = math.lcm(*(q.denominator for q in self.coeffs + (self.bound,)))
+        return tuple(int(a * L) for a in self.coeffs), int(self.bound * L)
+
+    def satisfied_by_holdings(self, H: np.ndarray, N: int) -> np.ndarray:
+        """Exact verdict for each lattice holdings row of H at step 1/N: (P,) bool.
+
+        Row h satisfies the constraint iff h.A SENSE B*N, with A and B cleared
+        of denominators.  As 0 <= h_i <= N, the sums are int64 while max|A|
+        N (n+1) and |B N| stay below 2^62, else exact ints on an object array.
+        """
+        H = np.asarray(H, dtype=np.int64)
+        A, B = self._cleared
+        if H.ndim != 2 or H.shape[1] != len(A):
+            raise InvalidArgument(f"constraint {self} has {len(A)} coefficients "
+                                  f"but the holdings have {H.shape[-1]} assets")
+        rhs = B * N
+        if max(map(abs, A), default=0) * N * len(A) < 2**62 and abs(rhs) < 2**62:
+            lhs = H @ np.asarray(A, dtype=np.int64)
+        else:
+            lhs = H.astype(object) @ np.asarray(A, dtype=object)
         if self.sense == "<=":
-            return lhs <= rhs
-        if self.sense == ">=":
-            return lhs >= rhs
-        return lhs == rhs
+            out = lhs <= rhs
+        elif self.sense == ">=":
+            out = lhs >= rhs
+        else:
+            out = lhs == rhs
+        return np.asarray(out, dtype=bool)
+
+    def satisfied_by(self, point: GridPoint) -> bool:
+        """Exact verdict for one grid point (the one-row case of satisfied_by_holdings)."""
+        return bool(self.satisfied_by_holdings([point.coords], point.resolution)[0])
 
     def satisfied_by_rows(self, V: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
         """Tolerance check for continuous (off-lattice) weight vectors, one per row.
@@ -173,17 +195,7 @@ class LinearFunctional:
         return cls(tuple(_as_fraction(c) for c in d["coeffs"]), d.get("units", ""))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative ints summing to `total`, ascending lex."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeSpace:
     """A permissible portfolio space: lattice points of a closed region of a simplex.
 
@@ -191,24 +203,26 @@ class LatticeSpace:
     half-spaces with the simplex, which are closed) or from an explicit
     finite point set (for registered menus, images of maps, and fixtures
     such as a lattice with a boundary point removed -- finite sets are
-    closed, so these are valid objects too).
+    closed, so these are valid objects too).  The points are the distinct
+    rows of the read-only int64 `holdings`, in lexicographic order; a
+    constraint space holds exactly the ambient points meeting its constraints.
     """
 
     n: int
     N: int
     constraints: tuple[LinearConstraint, ...]
-    points: tuple[GridPoint, ...]
+    holdings: np.ndarray
     explicit: bool = False
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {p.coords: i for i, p in enumerate(self.points)}
+    def __post_init__(self):
+        H = np.array(self.holdings, dtype=np.int64).reshape(-1, self.n + 1)
+        H.flags.writeable = False
+        object.__setattr__(self, "holdings", H)
 
     @cached_property
-    def holdings(self) -> np.ndarray:
-        """(P, n+1) int64 integer holdings, rows in lexicographic point order."""
-        return np.asarray([p.coords for p in self.points],
-                          dtype=np.int64).reshape(-1, self.n + 1)
+    def points(self) -> tuple[GridPoint, ...]:
+        """The holdings rows as GridPoints, built on first use."""
+        return tuple(GridPoint(row, self.N) for row in map(tuple, self.holdings.tolist()))
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -216,16 +230,69 @@ class LatticeSpace:
         return self.holdings / self.N
 
     def __len__(self):
-        return len(self.points)
+        return len(self.holdings)
 
     def __iter__(self):
         return iter(self.points)
 
+    def same_points(self, other: "LatticeSpace") -> bool:
+        """Whether both spaces hold the same points of the same lattice."""
+        return self.N == other.N and np.array_equal(self.holdings, other.holdings)
+
+    # -- the point index ---------------------------------------------------
+
+    @cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The base-(N+1) radix and the point keys, ascending as the rows are."""
+        d = self.n + 1
+        if (self.N + 1) ** d > np.iinfo(np.int64).max:
+            raise InvalidArgument(f"the ({self.n}, {self.N}) lattice is too large to index")
+        radix = (self.N + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        return radix, self.holdings @ radix
+
+    def index_holdings(self, C: np.ndarray) -> np.ndarray:
+        """Point index of each integer holdings row of C, or -1 for a row
+        that is not a point (or for every row, when C is not (M, n+1))."""
+        C = np.asarray(C, dtype=np.int64)
+        out = np.full(len(C), -1, dtype=np.intp)
+        if C.ndim != 2 or C.shape[1] != self.n + 1 or not len(self):
+            return out
+        radix, keys = self._keys
+        # column by column: reductions along a short row axis are slow
+        ok = np.logical_and.reduce([(c >= 0) & (c <= self.N) for c in C.T])
+        k = C @ radix
+        k[~ok] = -1                   # no point has a negative key
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        hit = keys[pos] == k
+        out[hit] = pos[hit]
+        return out
+
+    def index_vectors(self, V: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
+        """Point index of each weight-vector row of V, or -1: a row v denotes
+        the lattice point rint(vN) iff |rint(vN)/N - v|_inf <= tol."""
+        V = np.asarray(V, dtype=float)
+        C = np.rint(V * self.N)
+        with np.errstate(invalid="ignore"):       # inf - inf in a non-finite row
+            ok = ((np.abs(C / self.N - V).max(axis=1, initial=0.0) <= tol)
+                  & (C >= 0).all(axis=1) & (C <= self.N).all(axis=1))
+        return self.index_holdings(np.where(ok[:, None], C, -1).astype(np.int64))
+
+    def indices_of(self, points: Iterable[GridPoint]) -> np.ndarray:
+        """Point indices of grid points; a point not in the space is an error."""
+        points = tuple(points)
+        d = self.n + 1
+        C = np.array([p.coords if len(p.coords) == d else (-1,) * d for p in points],
+                     dtype=np.int64).reshape(-1, d)
+        i = self.index_holdings(C)
+        missing = np.flatnonzero(i < 0)
+        if len(missing):
+            raise InvalidArgument(f"{points[missing[0]]} is not a point of this space")
+        return i
+
     def index_of(self, p: GridPoint) -> int:
-        try:
-            return self._index[p.coords]
-        except KeyError:
-            raise InvalidArgument(f"{p} is not a point of this space") from None
+        return int(self.indices_of([p])[0])
+
+    # -- continuous vectors ------------------------------------------------
 
     def contains_vector(self, v: Sequence[float], tol: float = FLOAT_TOL) -> bool:
         """Membership test for one continuous weight vector (see contains_rows)."""
@@ -237,7 +304,9 @@ class LatticeSpace:
         For constraint-defined spaces a row must have no coordinate below
         -tol, sum to 1 within tol and satisfy every constraint within tol;
         for explicit spaces it must lie within tol of a member point in
-        every coordinate.  Input that is not (M, n+1) gives all False.
+        every coordinate, which is a point-index lookup (index_vectors) as
+        tol is below a quarter step.  Input that is not (M, n+1) gives all
+        False.
 
         A row's verdict does not depend on the other rows: its sum, its
         constraint dot products (the kernel np.dot uses for one vector) and
@@ -248,14 +317,9 @@ class LatticeSpace:
         if V.ndim != 2 or V.shape[1] != self.n + 1:
             return np.zeros(len(V), dtype=bool)
         if self.explicit:
-            out = np.zeros(len(V), dtype=bool)
-            P = self.array
-            step = max(1, 2**20 // max(1, P.size))   # ~2^20 differences per block
-            for start in range(0, len(V), step):
-                block = V[start:start + step]
-                near = np.abs(P[None, :, :] - block[:, None, :]) <= tol
-                out[start:start + step] = near.all(axis=2).any(axis=1)
-            return out
+            if tol * self.N >= 0.25:
+                raise InvalidArgument(f"tolerance {tol} is not below a quarter step 1/(4N)")
+            return self.index_vectors(V, tol) >= 0
         # Negated comparisons, so that a NaN sum fails neither simplex test.
         out = ~np.any(V < -tol, axis=1) & ~(np.abs(V.sum(axis=1) - 1.0) > tol)
         for c in self.constraints:
@@ -266,7 +330,7 @@ class LatticeSpace:
         d = {"n": self.n, "N": self.N,
              "constraints": [c.to_dict() for c in self.constraints]}
         if self.explicit:
-            d["points"] = [list(p.coords) for p in self.points]
+            d["points"] = self.holdings.tolist()
         return d
 
     @classmethod
@@ -282,16 +346,18 @@ class LatticeSpace:
     def from_points(cls, n: int, N: int,
                     points: Iterable[GridPoint],
                     constraints: Iterable[LinearConstraint] = ()) -> "LatticeSpace":
-        pts = sorted(set(points))
+        pts = tuple(points)
         for p in pts:
             if p.dimension != n or p.resolution != N:
                 raise InvalidArgument(f"{p} does not live on the ({n}, {N}) lattice")
-        return cls(n=n, N=N, constraints=tuple(constraints),
-                   points=tuple(pts), explicit=True)
+        # np.unique sorts the rows lexicographically, as sorted(set(pts)) would
+        H = np.unique(np.array([p.coords for p in pts], dtype=np.int64).reshape(-1, n + 1),
+                      axis=0)
+        return cls(n=n, N=N, constraints=tuple(constraints), holdings=H, explicit=True)
 
     def describe(self) -> str:
         cons = "; ".join(str(c) for c in self.constraints) or "none"
-        return f"Delta^{self.n} at 1/{self.N} ({len(self.points)} points, constraints: {cons})"
+        return f"Delta^{self.n} at 1/{self.N} ({len(self)} points, constraints: {cons})"
 
 
 def expected_simplex_size(n: int, N: int) -> int:
@@ -310,25 +376,35 @@ def enumerate_simplex(n: int, N: int) -> LatticeSpace:
             f"requested lattice (n={n}, N={N}) exceeds the supported cap "
             f"(n<={MAX_DIMENSION}, N<={MAX_RESOLUTION})"
         )
-    points = tuple(GridPoint(c, N) for c in _compositions(N, n + 1))
-    return LatticeSpace(n=n, N=N, constraints=(), points=points)
+    size = expected_simplex_size(n, N)
+    if size > MAX_POINTS:
+        raise InvalidArgument(
+            f"requested lattice (n={n}, N={N}) has {size} points, more than "
+            f"the supported {MAX_POINTS}"
+        )
+    # Prefix extension in lex order: a prefix with r units left is followed
+    # by 0..r in the next coordinate; the last coordinate takes the rest.
+    H = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([N], dtype=np.int64)
+    for _ in range(n):
+        counts = rest + 1
+        parent = np.repeat(np.arange(len(H)), counts)
+        v = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        H = np.column_stack([H[parent], v])
+        rest = rest[parent] - v
+    return LatticeSpace(n=n, N=N, constraints=(), holdings=np.column_stack([H, rest]))
 
 
 def restrict(space: LatticeSpace, constraints: Iterable[LinearConstraint]) -> LatticeSpace:
     """Intersect a space with further linear constraints (exact arithmetic)."""
     constraints = tuple(constraints)
+    keep = np.ones(len(space), dtype=bool)
     for c in constraints:
-        if len(c.coeffs) != space.n + 1:
-            raise InvalidArgument(
-                f"constraint {c} has {len(c.coeffs)} coefficients but the "
-                f"space has {space.n + 1} assets"
-            )
-    kept = tuple(p for p in space.points
-                 if all(c.satisfied_by(p) for c in constraints))
+        keep &= c.satisfied_by_holdings(space.holdings, space.N)
     return LatticeSpace(
         n=space.n, N=space.N,
         constraints=space.constraints + constraints,
-        points=kept, explicit=space.explicit,
+        holdings=space.holdings[keep], explicit=space.explicit,
     )
 
 
@@ -339,9 +415,7 @@ def contains(space: LatticeSpace, p: GridPoint) -> bool:
             f"point ({p.dimension}, {p.resolution}) does not match "
             f"space ({space.n}, {space.N})"
         )
-    if space.explicit:
-        return p.coords in space._index
-    return all(c.satisfied_by(p) for c in space.constraints)
+    return bool(space.index_holdings([p.coords])[0] >= 0)
 
 
 def eval_functional(f: LinearFunctional, p: GridPoint) -> Fraction:
@@ -402,7 +476,7 @@ _VAR_CONSTRAINT = re.compile(r"^\s*x(\d+)\s*(<=|>=|==|=)\s*(-?[0-9./]+)\s*$")
 
 def parse_step(text: str) -> int:
     """Parse a lattice step like '1/100' or '0.01' into the resolution N."""
-    frac = Fraction(text)
+    frac = _as_fraction(text)
     if frac <= 0:
         raise InvalidArgument(f"step must be positive, got {text!r}")
     N = 1 / frac

@@ -9,6 +9,7 @@ and the first optimum wins), so every map is deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -205,7 +206,7 @@ def inclusion_map(sub: LatticeSpace, ambient: LatticeSpace) -> ReimplMap:
 
 def compose_maps(g: ReimplMap, f: ReimplMap, name: str = "") -> ReimplMap:
     """g after f."""
-    if f.codomain.points != g.domain.points:
+    if not f.codomain.same_points(g.domain):
         raise InvalidArgument("maps do not compose: codomain/domain mismatch")
     return ReimplMap(f.domain, g.codomain, "composite", parts=(f, g),
                      name=name or f"{g.name}.{f.name}")
@@ -248,9 +249,9 @@ def build_constrained_reimpl(K1: LatticeSpace, K2: LatticeSpace,
 
     Hubs with empty fibers are dropped: the effective domain is dom(R).
     """
-    if R.domain.points != K1.points or R.codomain.points != K2.points:
+    if not R.domain.same_points(K1) or not R.codomain.same_points(K2):
         raise InvalidArgument("relation does not match the given spaces")
-    if u.space.points != K2.points:
+    if not u.space.same_points(K2):
         raise InvalidArgument("objective is not defined on the codomain")
     mask = R.mask()
     vals = u.values()
@@ -285,7 +286,7 @@ def check_square_commutes(f: ReimplMap, g: ReimplMap,
 
     f: K1 -> K2, g: K1 -> K3, f': K3 -> K4, g': K2 -> K4.
     """
-    if f.domain.points != g.domain.points:
+    if not f.domain.same_points(g.domain):
         raise InvalidArgument("f and g must share a hub domain")
     worst, witness = 0.0, None
     for x in f.domain.points:
@@ -310,7 +311,7 @@ def bellman_lift(u4: ValueFunction, R_gprime: Relation,
 
 
 def _fiber_max(u4: ValueFunction, R: Relation) -> ValueFunction:
-    if R.codomain.points != u4.space.points:
+    if not R.codomain.same_points(u4.space):
         raise InvalidArgument("objective is not defined on the relation's codomain")
     mask = R.mask()
     vals = u4.values()
@@ -324,24 +325,17 @@ def _fiber_max(u4: ValueFunction, R: Relation) -> ValueFunction:
 
 
 def lipschitz_probe(f: ReimplMap) -> float:
-    """max ||f(x) - f(x')|| / ||x - x'|| over adjacent lattice points (diagnostic)."""
-    pts = f.domain.points
-    index = {p.coords: p for p in pts}
-    worst = 0.0
-    for p in pts:
-        fp_val = f.evaluate(p)
-        coords = p.coords
-        for i in range(len(coords)):
-            for j in range(len(coords)):
-                if i == j or coords[i] == 0:
-                    continue
-                q = list(coords)
-                q[i] -= 1
-                q[j] += 1
-                neighbor = index.get(tuple(q))
-                if neighbor is None:
-                    continue
-                num = float(np.linalg.norm(f.evaluate(neighbor) - fp_val))
-                den = float(np.linalg.norm(neighbor.to_array() - p.to_array()))
-                worst = max(worst, num / den)
+    """max ||f(x) - f(x')|| / ||x - x'|| over adjacent lattice points (diagnostic).
+
+    x' is adjacent to x when one unit of holdings moves between two coordinates.
+    """
+    K = f.domain
+    images = np.asarray([f.evaluate(p) for p in K.points]).reshape(len(K), -1)
+    E, worst = np.eye(K.n + 1, dtype=np.int64), 0.0
+    for i, j in itertools.permutations(range(K.n + 1), 2):
+        nb = K.index_holdings(K.holdings - E[i] + E[j])
+        x = np.flatnonzero(nb >= 0)
+        num = np.linalg.norm(images[nb[x]] - images[x], axis=1)
+        den = np.linalg.norm(K.array[nb[x]] - K.array[x], axis=1)
+        worst = max(worst, float((num / den).max(initial=0.0)))
     return worst

@@ -69,56 +69,6 @@ def _attr_matrix(g, dim: int) -> np.ndarray:
     return m
 
 
-def _holdings_index(space: LatticeSpace) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized lookup of integer holdings rows among the points of `space`.
-
-    Rows are keyed in base N+1.  The lookup returns each row's point index,
-    or -1 for a row with a holding outside [0, N] or not a point of the
-    space.
-    """
-    N, d = space.N, space.n + 1
-    if (N + 1) ** d > np.iinfo(np.int64).max:
-        raise InvalidArgument(f"the ({space.n}, {N}) lattice is too large to index")
-    radix = (N + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    keys = space.holdings @ radix
-    order = np.argsort(keys)
-    keys = keys[order]
-
-    def index(C: np.ndarray) -> np.ndarray:
-        out = np.full(len(C), -1, dtype=np.intp)
-        if C.shape[1] != d or not len(keys):
-            return out
-        # column by column: reductions along a short row axis are slow
-        ok = np.logical_and.reduce([(c >= 0) & (c <= N) for c in C.T])
-        k = C @ radix
-        k[~ok] = -1                   # no point has a negative key
-        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-        hit = keys[pos] == k
-        out[hit] = order[pos[hit]]
-        return out
-
-    return index
-
-
-def _lattice_index(space: LatticeSpace) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized lookup of weight-vector rows among the points of `space`.
-
-    A row v denotes the lattice point rint(vN) iff |rint(vN)/N - v|_inf <=
-    1e-9.  The lookup returns each row's point index, or -1 for a row off
-    the lattice or off the space.
-    """
-    N = space.N
-    by_holdings = _holdings_index(space)
-
-    def index(V: np.ndarray) -> np.ndarray:
-        C = np.rint(V * N)
-        ok = ((np.abs(C / N - V).max(axis=1, initial=0.0) <= FLOAT_TOL)
-              & (C >= 0).all(axis=1) & (C <= N).all(axis=1))
-        return by_holdings(np.where(ok[:, None], C, -1).astype(np.int64))
-
-    return index
-
-
 def _same(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2) <= FLOAT_TOL
 
@@ -168,10 +118,8 @@ class Relation:
                 f"incidence mask has shape {mask.shape}, expected "
                 f"({len(domain)}, {len(codomain)})"
             )
-        row_of, col_of = _lattice_index(domain), _lattice_index(codomain)
-
         def test(X, Y):
-            i, j = row_of(X), col_of(Y)
+            i, j = domain.index_vectors(X), codomain.index_vectors(Y)
             rows, cols = i >= 0, j >= 0
             out = np.zeros((len(i), len(j)), dtype=bool)
             out[np.ix_(rows, cols)] = mask[np.ix_(i[rows], j[cols])]
@@ -199,10 +147,6 @@ class Relation:
         D = np.hstack([box, -box.sum(axis=1, keepdims=True)])
         return D[keep(D)]
 
-    @cached_property
-    def _codomain_index(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _holdings_index(self.codomain)
-
     def _scatter(self, rows: np.ndarray):
         """Yield (k, j) index blocks: codomain point j is domain row rows[k]
         plus an offset of the stencil (the screen is not applied)."""
@@ -213,7 +157,7 @@ class Relation:
             # offset-major: the hubs are in key order, so each offset's
             # lookups arrive sorted
             T = D[start:start + step, None, :] + H[None, :, :]
-            j = self._codomain_index(T.reshape(-1, T.shape[2])).reshape(T.shape[:2])
+            j = self.codomain.index_holdings(T.reshape(-1, T.shape[2])).reshape(T.shape[:2])
             m, k = np.nonzero(j >= 0)
             yield k, j[m, k]
 
@@ -487,9 +431,9 @@ def empty_relation(domain: LatticeSpace, codomain: LatticeSpace) -> Relation:
 def explicit_relation(domain: LatticeSpace, codomain: LatticeSpace,
                       pairs: Iterable[tuple[GridPoint, GridPoint]]) -> Relation:
     """A relation given by an explicit finite pair set (closed, as finite)."""
+    pairs = tuple(pairs)
     mask = np.zeros((len(domain), len(codomain)), dtype=bool)
-    for x, y in pairs:
-        mask[domain.index_of(x), codomain.index_of(y)] = True
+    mask[domain.indices_of(x for x, _ in pairs), codomain.indices_of(y for _, y in pairs)] = True
     return Relation.from_mask(domain, codomain, mask)
 
 
@@ -503,7 +447,7 @@ def compose_vertical(S: Relation, R: Relation) -> Relation:
             f"cannot compose: R lands in ({R.codomain.n}, 1/{R.codomain.N}) "
             f"but S starts at ({S.domain.n}, 1/{S.domain.N})"
         )
-    if R.codomain.points != S.domain.points:
+    if not R.codomain.same_points(S.domain):
         raise InvalidArgument("cannot compose: intermediate spaces have different points")
     # float counts: a sum of non-negative terms is never rounded to 0
     m = (R.mask().astype(np.float32) @ S.mask().astype(np.float32)) > 0
@@ -528,8 +472,7 @@ def dagger(R: Relation) -> Relation:
 
 def intersect(R: Relation, Rp: Relation) -> Relation:
     """Pairwise intersection; the test is the conjunction."""
-    if (R.domain.points != Rp.domain.points
-            or R.codomain.points != Rp.codomain.points):
+    if not (R.domain.same_points(Rp.domain) and R.codomain.same_points(Rp.codomain)):
         raise InvalidArgument("intersection requires identical domain and codomain")
     both = None if R._mask is None or Rp._mask is None else R._mask & Rp._mask
     return Relation(R.domain, R.codomain, "intersect",
@@ -561,10 +504,8 @@ def graph_of(f) -> MapAsRelation:
         raise InvalidArgument(
             f"map is not into its codomain: f({domain.points[i]}) = {images[i].tolist()}"
         )
-    row_of = _lattice_index(domain)
-
     def test(X, Y):
-        i = row_of(X)
+        i = domain.index_vectors(X)
         out = np.zeros((len(X), len(Y)), dtype=bool)
         out[i >= 0] = _same(img_matrix[i[i >= 0]], Y)
         return out
@@ -580,9 +521,9 @@ def two_cell_exists(f, g, R: Relation, S: Relation) -> bool:
     pairs (f is applied to the hub, g to the aligned partner) are checked
     against S's membership test.
     """
-    if f.domain.points != R.domain.points:
+    if not f.domain.same_points(R.domain):
         raise InvalidArgument("f must start at R's domain")
-    if g.domain.points != R.codomain.points:
+    if not g.domain.same_points(R.codomain):
         raise InvalidArgument("g must start at R's codomain")
     for x, w in R.pairs:
         if not S.contains_vectors(f.evaluate(x), g.evaluate(w)):

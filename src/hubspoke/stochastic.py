@@ -13,6 +13,7 @@ position in the counter stream regardless of scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -242,11 +243,7 @@ def metric_pullback_check(S: LatticeSpace, r: float, hub: Sequence[float],
     img = np.asarray(center_map.evaluate(hub) if center_map is not None else hub,
                      dtype=np.float64)
     ambient = enumerate_simplex(S.n, S.N)
-    in_S = np.asarray([
-        all(c.satisfied_by(p) for c in S.constraints) if not S.explicit
-        else (p.coords in S._index)
-        for p in ambient.points
-    ])
+    in_S = S.index_holdings(ambient.holdings) >= 0
     viol = ambient.array[~in_S]
     if len(viol) == 0:
         eroded = S.points
@@ -356,33 +353,23 @@ def hdr(cloud: SampleCloud, bandwidth: float, epsilon: float,
 
 def lattice_components(points: Sequence[GridPoint]) -> list[set[GridPoint]]:
     """Connected components under elementary lattice moves (one unit shifted
-    between two coordinates)."""
-    remaining = set(points)
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            p = frontier.pop()
-            c = p.coords
-            for i in range(len(c)):
-                if c[i] == 0:
-                    continue
-                for j in range(len(c)):
-                    if i == j:
-                        continue
-                    q = list(c)
-                    q[i] -= 1
-                    q[j] += 1
-                    gp = GridPoint(tuple(q), p.resolution)
-                    if gp in remaining:
-                        remaining.discard(gp)
-                        comp.add(gp)
-                        frontier.append(gp)
-        comps.append(comp)
-    return comps
+    between two coordinates), ordered by their smallest point."""
+    points = tuple(points)
+    if not points:
+        return []
+    K = LatticeSpace.from_points(points[0].dimension, points[0].resolution, points)
+    E = np.eye(K.n + 1, dtype=np.int64)
+    moves = [K.index_holdings(K.holdings - E[i] + E[j])
+             for i, j in itertools.permutations(range(K.n + 1), 2)]
+    # each point takes the smallest label among its neighbors until none changes
+    label, changed = np.arange(len(K)), True
+    while changed:
+        new = label.copy()
+        for nb in moves:
+            x = np.flatnonzero(nb >= 0)
+            np.minimum.at(new, x, label[nb[x]])
+        label, changed = new, not np.array_equal(new, label)
+    return [{K.points[i] for i in np.flatnonzero(label == r)} for r in np.unique(label)]
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ def map_images(f: ReimplMap) -> np.ndarray:
 
 def pullback(f: ReimplMap, S: Relation) -> Relation:
     """f*S = {(x, z): (f(x), z) in S}, an exact relation on f's domain lattice."""
-    if f.codomain.points != S.domain.points:
+    if not f.codomain.same_points(S.domain):
         raise InvalidArgument("pullback: f must land in S's domain")
     return Relation.from_mask(f.domain, S.codomain,
                               S.test(map_images(f), S.codomain.array))
@@ -139,7 +139,7 @@ def pushforward(f: ReimplMap, R: Relation) -> PairSet:
     The result may contain off-lattice first components, so it is a pair
     set rather than a lattice relation.
     """
-    if f.domain.points != R.domain.points:
+    if not f.domain.same_points(R.domain):
         raise InvalidArgument("pushforward: f must start at R's domain")
     images = {p.coords: f.evaluate(p) for p in f.domain.points}
     return PairSet.from_pairs(
@@ -181,7 +181,7 @@ def verify_adjunction(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
 def verify_functoriality(f: ReimplMap, g: ReimplMap, R: Relation,
                          S: Optional[Relation] = None) -> LawReport:
     """(g . f)_! R  ==  g_! (f_! R); dually f*(g*S) == (g.f)*S when S given."""
-    if f.codomain.points != g.domain.points:
+    if not f.codomain.same_points(g.domain):
         raise InvalidArgument("functoriality: maps do not compose")
     from .optimize import compose_maps
 
@@ -233,7 +233,7 @@ class CommutingSquare:
     h: ReimplMap
 
     def __post_init__(self):
-        if self.g.domain.points != self.fp.domain.points:
+        if not self.g.domain.same_points(self.fp.domain):
             raise InvalidArgument("square: g and f' must share the hub K_A")
         worst = 0.0
         for x in self.g.domain.points:
@@ -274,7 +274,7 @@ def _late_audit_pairs(square: CommutingSquare, R: Relation) -> PairSet:
 
 def verify_lax_bc(square: CommutingSquare, R: Relation) -> LawReport:
     """f'_!(g* R) included in h*(f_! R); holds for every commuting square."""
-    if square.f.domain.points != R.domain.points:
+    if not square.f.domain.same_points(R.domain):
         raise InvalidArgument("lax BC: R must live on K_B (f's domain)")
     _require_lattice_valued(square)
     lhs = pushforward(square.fp, pullback(square.g, R))
@@ -305,7 +305,7 @@ def pointwise_cartesian(square: CommutingSquare, tol: float = FLOAT_TOL) -> tupl
 
 def verify_strict_bc(square: CommutingSquare, R: Relation) -> LawReport:
     """Strict equality f'_!(g* R) == h*(f_! R), plus the cartesianness test."""
-    if square.f.domain.points != R.domain.points:
+    if not square.f.domain.same_points(R.domain):
         raise InvalidArgument("strict BC: R must live on K_B (f's domain)")
     _require_lattice_valued(square)
     cartesian, cart_failures = pointwise_cartesian(square)

@@ -33,6 +33,43 @@ class TestEnumerate:
         code = main(["enumerate", "--dim", "2", "--step", "0.3"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "6", "--step", "1/400"],
+        ["--dim", "5", "--step", "1/400"],
+        ["--dim", "3", "--step", "1/400"],
+    ])
+    def test_oversized_lattice_exit_two(self, capsys, argv):
+        code = main(["enumerate"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "points" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--step", "1/10", "--constraint", "x1<=1/0"],
+        ["--step", "1/10", "--constraint", "a,b,c<=1"],
+        ["--step", "1/10", "--constraint", "nan,0,0<=1"],
+        ["--step", "1/10", "--constraint", "1,0,0<=inf"],
+        ["--step", "1/0"],
+        ["--step", "abc"],
+    ])
+    def test_malformed_rational_exit_two(self, capsys, argv):
+        code = main(["enumerate", "--dim", "2"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("constraint", [
+        {"coeffs": [float("nan"), 0, 0], "bound": "1/2"},
+        {"coeffs": [1, 0, 0], "bound": float("inf")},
+    ])
+    def test_non_finite_float_in_hub_exit_two(self, capsys, tmp_path, constraint):
+        path = tmp_path / "hub.json"
+        path.write_text(json.dumps({"n": 2, "N": 10, "constraints": [constraint]}))
+        code = main(["menu", "--hub", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     @pytest.mark.parametrize("law", ["adjunction", "frobenius", "functoriality",

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from hubspoke.geometry import (
     FLOAT_TOL,
+    MAX_DIMENSION,
+    MAX_POINTS,
+    MAX_RESOLUTION,
     SENSES,
     GridPoint,
     InvalidArgument,
@@ -17,6 +20,7 @@ from hubspoke.geometry import (
     contains,
     enumerate_simplex,
     eval_functional,
+    expected_simplex_size,
     grid_point_from_vector,
     parse_constraint,
     parse_step,
@@ -337,3 +341,165 @@ class TestPointsAndSnap:
         d = sub.to_dict()
         back = LatticeSpace.from_dict(d)
         assert back.points == sub.points
+
+
+# -- the holdings core against the per-point rules it replaced -------------------
+
+
+def compositions_oracle(total, parts):
+    """The recursive enumeration the vectorized one replaced, kept as the oracle."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions_oracle(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def satisfied_by_oracle(k, p):
+    """The per-point Fraction rule the integer one replaced, kept as the oracle."""
+    lhs = sum(a * h for a, h in zip(k.coeffs, p.coords))
+    rhs = k.bound * p.resolution
+    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[k.sense]
+
+
+# Primes near 10^9: three such denominators clear to integers A of about
+# 10^18, so h.A overflows int64 at any N and only the object dtype is exact.
+BIG_PRIMES = (999_999_937, 999_999_929, 999_999_893, 999_999_883)
+
+
+class TestHoldingsCore:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 4), N=st.integers(1, 30))
+    def test_enumeration_matches_recursive_oracle(self, n, N):
+        space = enumerate_simplex(n, N)
+        assert space.holdings.dtype == np.int64
+        assert space.holdings.tolist() == [list(c) for c in compositions_oracle(N, n + 1)]
+        assert [p.coords for p in space.points] == list(compositions_oracle(N, n + 1))
+
+    @pytest.mark.parametrize("n,N", [(6, 400), (5, 400), (3, 400)])
+    def test_point_budget_rejects_before_allocating(self, n, N):
+        assert n <= MAX_DIMENSION and N <= MAX_RESOLUTION
+        assert expected_simplex_size(n, N) > MAX_POINTS
+        with pytest.raises(InvalidArgument, match="points"):
+            enumerate_simplex(n, N)
+
+    def test_holdings_are_read_only(self):
+        space = enumerate_simplex(2, 5)
+        with pytest.raises(ValueError):
+            space.holdings[0, 0] = 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 3), N=st.integers(1, 12),
+           sense=st.sampled_from(SENSES), kind=st.sampled_from(["small", "float", "big"]))
+    def test_integer_rule_matches_fraction_oracle(self, data, n, N, sense, kind):
+        amb = enumerate_simplex(n, N)
+        if kind == "small":
+            coeffs = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7),
+                                        min_size=n + 1, max_size=n + 1))
+        elif kind == "float":
+            # limit_denominator(10**9) floats: mostly object dtype
+            coeffs = data.draw(st.lists(st.floats(-3, 3, allow_nan=False),
+                                        min_size=n + 1, max_size=n + 1))
+        else:
+            coeffs = [Fraction(data.draw(st.integers(-10**9, 10**9)), q)
+                      for q in BIG_PRIMES[:n + 1]]
+        tight = amb.points[data.draw(st.integers(0, len(amb) - 1))]
+        k = LinearConstraint(tuple(coeffs), 0, sense)
+        # a bound through a lattice point, or a step either side of it
+        bound = sum(a * w for a, w in zip(k.coeffs, tight.weights))
+        bound += data.draw(st.sampled_from([0, 0, Fraction(1, N), -Fraction(1, N)]))
+        k = LinearConstraint(k.coeffs, bound, sense)
+        expected = [satisfied_by_oracle(k, p) for p in amb.points]
+        got = k.satisfied_by_holdings(amb.holdings, N)
+        assert got.dtype == bool and got.tolist() == expected
+        assert [k.satisfied_by(p) for p in amb.points] == expected
+        assert restrict(amb, [k]).points == tuple(
+            p for p, e in zip(amb.points, expected) if e)
+
+    def test_object_dtype_where_int64_would_overflow(self):
+        # A ~ 10^18 fits int64, but h.A at N = 30 does not
+        amb = enumerate_simplex(2, 30)
+        coeffs = (Fraction(999_999_000, BIG_PRIMES[0]), Fraction(-999_999_000, BIG_PRIMES[1]),
+                  Fraction(1))
+        for sense in SENSES:
+            k = LinearConstraint(coeffs, Fraction(1, 2), sense)
+            A, _ = k._cleared
+            assert max(map(abs, A)) < 2**63 <= max(map(abs, A)) * 30
+            assert k.satisfied_by_holdings(amb.holdings, 30).tolist() == [
+                satisfied_by_oracle(k, p) for p in amb.points]
+
+    def test_integer_rule_shape_checked(self):
+        k = c("x1<=0.5")
+        with pytest.raises(InvalidArgument):
+            k.satisfied_by_holdings(np.zeros((2, 2), dtype=np.int64), 10)
+        with pytest.raises(InvalidArgument):
+            k.satisfied_by(GridPoint((1, 1), 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 3), N=st.integers(1, 9))
+    def test_index_matches_dict_oracle(self, data, n, N):
+        amb = enumerate_simplex(n, N)
+        if data.draw(st.booleans()):
+            chosen = data.draw(st.lists(st.integers(0, len(amb) - 1), max_size=len(amb)))
+            space = LatticeSpace.from_points(n, N, [amb.points[i] for i in chosen])
+        else:
+            space = restrict(amb, [c(f"x1<={data.draw(st.integers(0, N))}/{N}", n + 1)])
+        oracle = {p.coords: i for i, p in enumerate(space.points)}
+        rows = [list(p.coords) for p in amb.points]
+        for r in list(rows):
+            for i in range(n):
+                # the same base-(N+1) key as r, with a holding below 0 or above N
+                if r[i] <= N:
+                    rows.append(r[:i] + [r[i] - 1, r[i + 1] + N + 1] + r[i + 2:])
+        rows += data.draw(st.lists(st.lists(st.integers(-2, N + 2), min_size=n + 1,
+                                            max_size=n + 1), max_size=20))
+        C = np.asarray(rows, dtype=np.int64).reshape(-1, n + 1)
+        want = [oracle.get(tuple(r), -1) for r in C.tolist()]
+        assert space.index_holdings(C).tolist() == want
+        V = C / N
+        assert space.index_vectors(V).tolist() == want
+        assert space.index_vectors(V + 0.5 / N).tolist() == [-1] * len(V)
+        for p in amb.points:
+            assert contains(space, p) == (p.coords in oracle)
+            if p.coords in oracle:
+                assert space.index_of(p) == oracle[p.coords]
+            else:
+                with pytest.raises(InvalidArgument):
+                    space.index_of(p)
+        assert space.index_holdings(C[:, :n]).tolist() == [-1] * len(C)
+
+    def test_index_rejects_wrong_width_points(self):
+        space = enumerate_simplex(2, 4)
+        with pytest.raises(InvalidArgument):
+            space.indices_of([GridPoint((1, 3), 4)])
+        assert space.indices_of([]).tolist() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_same_points_matches_tuple_equality(self, data):
+        def draw_space():
+            n, N = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 4))
+            amb = enumerate_simplex(n, N)
+            keep = data.draw(st.lists(st.booleans(), min_size=len(amb), max_size=len(amb)))
+            return LatticeSpace.from_points(n, N, [p for p, k in zip(amb.points, keep) if k])
+        a, b = draw_space(), draw_space()
+        if len(a) or len(b) or (a.n, a.N) == (b.n, b.N):
+            assert a.same_points(b) == (a.points == b.points)
+        else:
+            # empty spaces of different lattices: equal tuples, different spaces
+            assert not a.same_points(b)
+        assert a.same_points(a) and a.same_points(LatticeSpace.from_points(a.n, a.N, a.points))
+
+    def test_explicit_rows_need_a_tolerance_below_a_quarter_step(self):
+        space = LatticeSpace.from_points(2, 10, enumerate_simplex(2, 10).points[:5])
+        assert space.contains_rows(space.array, tol=0.024).all()
+        with pytest.raises(InvalidArgument):
+            space.contains_rows(space.array, tol=0.025)
+
+    def test_from_points_sorts_and_dedups(self):
+        pts = [GridPoint((2, 0, 1), 3), GridPoint((0, 3, 0), 3), GridPoint((1, 1, 1), 3),
+               GridPoint((0, 3, 0), 3), GridPoint((0, 0, 3), 3)]
+        space = LatticeSpace.from_points(2, 3, pts)
+        assert space.points == tuple(sorted(set(pts)))
+        assert LatticeSpace.from_points(2, 3, []).holdings.shape == (0, 3)

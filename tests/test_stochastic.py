@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubspoke.geometry import (
+    GridPoint,
     InvalidArgument,
     enumerate_simplex,
     parse_constraint,
@@ -35,6 +37,29 @@ from hubspoke.stochastic import (
 )
 
 HUB = (0.45, 0.30, 0.25)
+
+
+def components_oracle(points):
+    """The GridPoint-set neighbor walk the index-based components replaced."""
+    remaining, comps = set(points), []
+    while remaining:
+        frontier = [remaining.pop()]
+        comp = set(frontier)
+        while frontier:
+            c = frontier.pop().coords
+            for i, j in itertools.permutations(range(len(c)), 2):
+                if c[i] == 0:
+                    continue
+                q = list(c)
+                q[i] -= 1
+                q[j] += 1
+                gp = GridPoint(tuple(q), sum(c))
+                if gp in remaining:
+                    remaining.discard(gp)
+                    comp.add(gp)
+                    frontier.append(gp)
+        comps.append(comp)
+    return comps
 
 
 class TestProjection:
@@ -287,6 +312,16 @@ class TestHdr:
         cloud = sample_kernel(sc.spec, sc.hub)
         region = hdr(cloud, 0.03, 0.20, enumerate_simplex(2, 160)).region
         assert len(lattice_components(region)) >= 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 3), N=st.integers(1, 8), data=st.data())
+    def test_components_match_neighbor_walk_oracle(self, n, N, data):
+        amb = enumerate_simplex(n, N)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(amb), max_size=len(amb)))
+        region = [p for p, k in zip(amb.points, keep) if k]
+        got = lattice_components(region)
+        assert {frozenset(c) for c in got} == {frozenset(c) for c in components_oracle(region)}
+        assert [min(c) for c in got] == sorted(min(c) for c in got)
 
     def test_degenerate_cloud_point_mass(self):
         spec = KernelSpec(sigma=1e-12, n_samples=100, seed=1)
