@@ -47,6 +47,7 @@ from .stochastic import (
     hdr,
     lattice_components,
     metric_pullback_check,
+    metric_pushforward,
     compose_radius,
     sample_chain,
     sample_kernel,
@@ -446,18 +447,12 @@ def criterion_12(instances: int = 210, seed: int = 11):
         else:
             S = _random_relation(rng, K2, Z)
         r = float(rng.choice([0.0, 0.05, 0.1]))
-        f_img = np.asarray([f.evaluate(p) for p in K1.points])
+        f_img = f.images
         S_mask = S.mask()
         R_mask = R.mask()
         Y = K2.array
         # dilated pushforward mask over K2 x Z
-        push = np.zeros((len(K2), len(Z)), dtype=bool)
-        for zi in range(len(Z)):
-            xs = np.nonzero(R_mask[:, zi])[0]
-            if len(xs) == 0:
-                continue
-            d2 = ((Y[:, None, :] - f_img[xs][None, :, :]) ** 2).sum(axis=2)
-            push[:, zi] = (d2.min(axis=1) <= (r + 1e-9) ** 2)
+        push = metric_pushforward(f, R, r).mask()
         # erosion-based pullback: hub passes iff no violating lattice point
         # sits within r of f(x), per z-slice
         pull = np.zeros((len(K1), len(Z)), dtype=bool)
@@ -474,14 +469,7 @@ def criterion_12(instances: int = 210, seed: int = 11):
             if not bool(np.all(pull | ~R_mask)):
                 adj_failures += 1
         # metric Frobenius inclusion: push(R and pull(S)) within push(R) and S
-        restricted = R_mask & pull
-        lhs = np.zeros((len(K2), len(Z)), dtype=bool)
-        for zi in range(len(Z)):
-            xs = np.nonzero(restricted[:, zi])[0]
-            if len(xs) == 0:
-                continue
-            d2 = ((Y[:, None, :] - f_img[xs][None, :, :]) ** 2).sum(axis=2)
-            lhs[:, zi] = (d2.min(axis=1) <= (r + 1e-9) ** 2)
+        lhs = metric_pushforward(f, Relation.from_mask(K1, Z, R_mask & pull), r).mask()
         if lhs.any():
             nonvacuous += 1
         if not bool(np.all((push & S_mask) | ~lhs)):

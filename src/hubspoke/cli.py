@@ -96,7 +96,8 @@ def cmd_build_map(args) -> int:
     with open(args.spoke, encoding="utf-8") as fh:
         spoke = LatticeSpace.from_dict(json.load(fh))
     f = build_metric_reimpl(hub, spoke, spec)
-    table = {",".join(map(str, k)): list(v.coords) for k, v in f.table.items()}
+    table = {",".join(map(str, h)): y for h, y in zip(hub.holdings.tolist(),
+                                                    spoke.holdings[f.img].tolist())}
     payload = {"rule": "lattice_argmin", "domain": hub.to_dict(),
                "codomain": spoke.to_dict(), "table": table}
     if args.out:

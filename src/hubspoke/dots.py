@@ -157,15 +157,15 @@ def determinize(domain: LatticeSpace, codomain: LatticeSpace,
     """
     if alpha <= 0:
         raise InvalidArgument("determinization requires alpha > 0")
-    table = {}
+    chosen = []
     for x in domain.points:
         fiber_pts = sorted(fibers.get(x, ()))
         if not fiber_pts:
             raise Infeasible(f"empty fiber at hub {x}")
         norms = [alpha * float((p.to_array() ** 2).sum()) for p in fiber_pts]
-        table[x.coords] = fiber_pts[int(np.argmin(norms))]
-    return ReimplMap(domain, codomain, "lattice_argmin", table=table, name=name,
-                     check_into=False)
+        chosen.append(fiber_pts[int(np.argmin(norms))])
+    return ReimplMap(domain, codomain, "lattice_argmin",
+                     img=codomain.indices_of(chosen), name=name)
 
 
 def determinize_relation(K: MenuLike, R: Relation, alpha: float) -> ReimplMap:

@@ -4,13 +4,17 @@ At desk scale every optimizer here is an exact scan over the codomain
 lattice: the metric-matching objective ||gA x - gB y||^p - lambda u(gB y),
 or a relation-constrained argmax of a value function over the fiber.
 Ties break lexicographically (the codomain is enumerated in sorted order
-and the first optimum wins), so every map is deterministic.
+and the first optimum wins), so every map is deterministic.  A scan
+covers every hub at once, in row blocks, and its result is an index
+array: hub i goes to codomain point img[i].
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,13 +25,21 @@ from .geometry import (
     InvalidArgument,
     LatticeSpace,
     LinearFunctional,
-    grid_point_from_vector,
 )
 from .relations import Relation, _attr_matrix
+
+_BLOCK_CELLS = 1 << 20      # cells per row block of a scan: temporaries of a few MB
 
 
 class Infeasible(ValueError):
     """Raised when an optimization problem has no admissible point."""
+
+
+def _finite(what: str, value) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all():
+        raise InvalidArgument(f"{what} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -42,23 +54,22 @@ class ObjectiveSpec:
     norm: str = "L2"
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidArgument("exponent p must be >= 1")
-        if self.lam < 0:
-            raise InvalidArgument("objective weight lambda must be >= 0")
+        if not 1 <= self.p < math.inf:
+            raise InvalidArgument("exponent p must be finite and >= 1")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidArgument("objective weight lambda must be finite and >= 0")
         if self.norm not in ("L1", "L2"):
             raise InvalidArgument("norm must be L1 or L2")
+        for what, g in (("attribute map gA", self.gA), ("attribute map gB", self.gB)):
+            if g is not None:
+                _finite(what, g)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObjectiveSpec":
-        u = None
-        u_spec = d.get("u")
-        if u_spec:
-            u = objective_function(u_spec)
         return cls(
             gA=np.asarray(d["gA"], dtype=float) if d.get("gA") is not None else None,
             gB=np.asarray(d["gB"], dtype=float) if d.get("gB") is not None else None,
-            u=u,
+            u=objective_function(d["u"]) if d.get("u") else None,
             p=float(d.get("p", 2.0)),
             lam=float(d.get("lambda", d.get("lam", 0.0))),
             norm=d.get("norm", "L2"),
@@ -69,41 +80,44 @@ def objective_function(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized objective u from a JSON spec: linear, neg_fee or quadratic."""
     kind = spec["kind"]
     if kind == "linear":
-        c = np.asarray(spec["coeffs"], dtype=float)
+        c = _finite("linear objective coefficients", spec["coeffs"])
         return lambda V: V @ c
     if kind == "neg_fee":
         fee = spec["functional"]
         coeffs = (fee.coeff_array() if isinstance(fee, LinearFunctional)
-                  else np.asarray(fee, dtype=float))
+                  else _finite("fee coefficients", fee))
         return lambda V: -(V @ coeffs)
     if kind == "quadratic":
-        center = np.asarray(spec["center"], dtype=float)
-        scale = float(spec.get("scale", 1.0))
+        center = _finite("quadratic objective center", spec["center"])
+        scale = float(_finite("quadratic objective scale", spec.get("scale", 1.0)))
         return lambda V: -scale * ((V - center) ** 2).sum(axis=-1)
     raise InvalidArgument(f"unknown objective kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueFunction:
-    """A tabulated objective over every point of a lattice space."""
+    """An objective tabulated over a lattice space.
+
+    `array` holds one finite float per point of `space`, in point order.
+    """
 
     space: LatticeSpace
-    table: dict[tuple[int, ...], float]
+    array: np.ndarray
 
     def __post_init__(self):
-        missing = [p for p in self.space.points if p.coords not in self.table]
-        if missing:
-            raise InvalidArgument(f"value function undefined at {missing[0]}")
-
-    def __call__(self, p: GridPoint) -> float:
-        return self.table[p.coords]
+        a = np.array(self.array, dtype=float).reshape(len(self.space))
+        bad = np.flatnonzero(~np.isfinite(a))
+        if len(bad):
+            raise InvalidArgument(f"value function is not finite at {self.space.points[bad[0]]}")
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
     def values(self) -> np.ndarray:
-        return np.asarray([self.table[p.coords] for p in self.space.points])
+        return self.array
 
     @classmethod
     def from_callable(cls, space: LatticeSpace, fn) -> "ValueFunction":
-        return cls(space, {p.coords: float(fn(p.to_array())) for p in space.points})
+        return cls(space, [float(fn(v)) for v in space.array])
 
 
 class ReimplMap:
@@ -111,13 +125,17 @@ class ReimplMap:
 
     rule is one of
       affine(matrix, offset)   continuous evaluation anywhere,
-      lattice_argmin(table)    tabulated lattice-to-lattice assignment,
-      composite(maps)          left-to-right chaining.
+      lattice_argmin(img)      hub point i goes to codomain point img[i],
+      composite(parts)         left-to-right chaining.
+
+    `evaluate_rows(V)` maps the weight vectors in the rows of V (an affine
+    row has the bits of `matrix @ v + offset`), and `images` holds the
+    images of the domain points; `evaluate`, `image_points` and
+    `is_lattice_valued` are views of these.
     """
 
     def __init__(self, domain: LatticeSpace, codomain: LatticeSpace,
-                 rule: str, *, matrix=None, offset=None,
-                 table: Optional[dict[tuple[int, ...], GridPoint]] = None,
+                 rule: str, *, matrix=None, offset=None, img=None,
                  parts: Optional[Sequence["ReimplMap"]] = None,
                  name: str = "f", check_into: bool = True):
         self.domain = domain
@@ -134,21 +152,25 @@ class ReimplMap:
                     f"got {self.matrix.shape}"
                 )
         elif rule == "lattice_argmin":
-            if table is None:
-                raise InvalidArgument("lattice_argmin requires a table")
-            self.table = table
+            self.img = np.array(-1 if img is None else img, dtype=np.intp)
+            if self.img.shape != (len(domain),) or not (
+                    (self.img >= 0) & (self.img < len(codomain))).all():
+                raise InvalidArgument("lattice_argmin needs an image index array: "
+                                      "one codomain point index per domain point")
+            self.img.flags.writeable = False
         elif rule == "composite":
             if not parts:
                 raise InvalidArgument("composite requires component maps")
             self.parts = tuple(parts)
         else:
             raise InvalidArgument(f"unknown rule {rule!r}")
-        if check_into:
+        # a lattice_argmin map lands on codomain points by construction
+        if check_into and rule != "lattice_argmin":
             self._check_total_and_into()
 
     def _check_total_and_into(self):
-        images = [self.evaluate(p) for p in self.domain.points]
-        outside = np.flatnonzero(~self.codomain.contains_rows(np.asarray(images)))
+        images = self.images
+        outside = np.flatnonzero(~self.codomain.contains_rows(images))
         if len(outside):
             i = int(outside[0])
             raise InvalidArgument(
@@ -156,42 +178,55 @@ class ReimplMap:
                 f"{images[i].tolist()}"
             )
 
-    def evaluate(self, x) -> np.ndarray:
-        """Image of a GridPoint (or, for affine/composite rules, any vector)."""
+    def evaluate_rows(self, V) -> np.ndarray:
+        """Images of the rows of V; a lattice_argmin map takes only vectors
+        that denote points of its domain (within FLOAT_TOL)."""
+        V = np.asarray(V, dtype=float)
         if self.rule == "affine":
-            v = x.to_array() if isinstance(x, GridPoint) else np.asarray(x, dtype=float)
-            return self.matrix @ v + self.offset
+            # one matrix-vector product per row: V @ matrix.T rounds differently
+            return (self.matrix[None] @ V[:, :, None])[:, :, 0] + self.offset
         if self.rule == "lattice_argmin":
-            if not isinstance(x, GridPoint):
-                x = grid_point_from_vector(x, self.domain.N)
-            try:
-                return self.table[x.coords].to_array()
-            except KeyError:
-                raise InvalidArgument(f"{x} is outside the map's domain") from None
-        v = x
+            i = self.domain.index_vectors(V)
+            if (i < 0).any():
+                raise InvalidArgument(
+                    f"{V[int(np.argmax(i < 0))].tolist()} is outside the map's domain")
+            return self.codomain.array[self.img[i]]
         for part in self.parts:
-            v = part.evaluate(v)
-        return v
+            V = part.evaluate_rows(V)
+        return V
 
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)
+    @cached_property
+    def images(self) -> np.ndarray:
+        """(P, m+1) read-only images of the domain points, in point order."""
+        out = (self.codomain.array[self.img] if self.rule == "lattice_argmin"
+               else self.evaluate_rows(self.domain.array))
+        out.flags.writeable = False
+        return out
+
+    def evaluate(self, x) -> np.ndarray:
+        """Image of one GridPoint or weight vector."""
+        v = x.to_array() if isinstance(x, GridPoint) else np.asarray(x, dtype=float)
+        return self.evaluate_rows(v[None])[0]
+
+    @cached_property
+    def _image_holdings(self) -> Optional[np.ndarray]:
+        """Integer holdings of the images, or None if one is not within
+        FLOAT_TOL of a point of the codomain's lattice."""
+        N = self.codomain.N
+        C = np.rint(self.images * N)
+        on = ((np.abs(self.images * N - C) <= FLOAT_TOL * N).all()
+              and (C >= 0).all() and (C.sum(axis=1) == N).all())
+        return C.astype(np.int64) if on else None
 
     def is_lattice_valued(self) -> bool:
-        if self.rule == "lattice_argmin":
-            return True
-        try:
-            for p in self.domain.points:
-                grid_point_from_vector(self.evaluate(p), self.codomain.N)
-            return True
-        except InvalidArgument:
-            return False
+        return self._image_holdings is not None
 
     def image_points(self) -> tuple[GridPoint, ...]:
         """Image of the domain lattice, as grid points (lattice-valued maps only)."""
-        return tuple(sorted({
-            grid_point_from_vector(self.evaluate(p), self.codomain.N)
-            for p in self.domain.points
-        }))
+        if self._image_holdings is None:
+            raise InvalidArgument(f"map {self.name} has images off its codomain's lattice")
+        return tuple(GridPoint(row, self.codomain.N)
+                     for row in map(tuple, np.unique(self._image_holdings, axis=0).tolist()))
 
 
 def identity_map(space: LatticeSpace) -> ReimplMap:
@@ -228,18 +263,25 @@ def build_metric_reimpl(K1: LatticeSpace, K2: LatticeSpace,
         penalty = -spec.lam * np.asarray(spec.u(B), dtype=float)
     else:
         penalty = np.zeros(len(K2))
-    table: dict[tuple[int, ...], GridPoint] = {}
-    for p in K1.points:
-        a = gA @ p.to_array()
-        diff = B - a
+    A = (gA[None] @ K1.array[:, :, None])[:, :, 0]     # (P, k), row i is gA @ x_i
+    img = np.empty(len(K1), dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // B.size)
+    for start in range(0, len(K1), step):
+        diff = B[None] - A[start:start + step, None]
         if spec.norm == "L2":
-            dist = np.sqrt((diff ** 2).sum(axis=1))
+            dist = np.sqrt((diff ** 2).sum(axis=2))
         else:
-            dist = np.abs(diff).sum(axis=1)
-        values = dist ** spec.p + penalty
-        table[p.coords] = K2.points[int(np.argmin(values))]
-    return ReimplMap(K1, K2, "lattice_argmin", table=table, name=name,
-                     check_into=False)
+            dist = np.abs(diff).sum(axis=2)
+        img[start:start + step] = np.argmin(dist ** spec.p + penalty, axis=1)
+    return ReimplMap(K1, K2, "lattice_argmin", img=img, name=name)
+
+
+def _over_fibers(op, mask: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """op(axis=1) over each row's fiber of finite values, in row blocks;
+    non-members read -inf, so op=np.argmax picks the first best member."""
+    step = max(1, _BLOCK_CELLS // max(mask.shape[1], 1))
+    return np.concatenate([op(np.where(mask[s:s + step], vals, -np.inf), axis=1)
+                           for s in range(0, max(len(mask), 1), step)])
 
 
 def build_constrained_reimpl(K1: LatticeSpace, K2: LatticeSpace,
@@ -254,22 +296,14 @@ def build_constrained_reimpl(K1: LatticeSpace, K2: LatticeSpace,
     if not u.space.same_points(K2):
         raise InvalidArgument("objective is not defined on the codomain")
     mask = R.mask()
-    vals = u.values()
-    table: dict[tuple[int, ...], GridPoint] = {}
-    kept: list[GridPoint] = []
-    for i, p in enumerate(K1.points):
-        row = np.nonzero(mask[i])[0]
-        if len(row) == 0:
-            continue
-        best = row[int(np.argmax(vals[row]))]
-        table[p.coords] = K2.points[best]
-        kept.append(p)
-    if not kept:
+    kept = mask.any(axis=1)
+    if not kept.any():
         raise Infeasible("relation has empty domain: no hub has a non-empty fiber")
-    domain = (K1 if len(kept) == len(K1)
-              else LatticeSpace.from_points(K1.n, K1.N, kept, K1.constraints))
-    return ReimplMap(domain, K2, "lattice_argmin", table=table, name=name,
-                     check_into=False)
+    domain = K1 if kept.all() else LatticeSpace(
+        n=K1.n, N=K1.N, constraints=K1.constraints, holdings=K1.holdings[kept],
+        explicit=True)
+    return ReimplMap(domain, K2, "lattice_argmin",
+                     img=_over_fibers(np.argmax, mask[kept], u.values()), name=name)
 
 
 @dataclass(frozen=True)
@@ -284,19 +318,17 @@ def check_square_commutes(f: ReimplMap, g: ReimplMap,
                           tol: float = FLOAT_TOL) -> CommuteReport:
     """Compare f' . g against g' . f pointwise over the shared hub lattice.
 
-    f: K1 -> K2, g: K1 -> K3, f': K3 -> K4, g': K2 -> K4.
+    f: K1 -> K2, g: K1 -> K3, f': K3 -> K4, g': K2 -> K4.  The witness is
+    the first hub point with the largest discrepancy.
     """
     if not f.domain.same_points(g.domain):
         raise InvalidArgument("f and g must share a hub domain")
-    worst, witness = 0.0, None
-    for x in f.domain.points:
-        lhs = fp.evaluate(g.evaluate(x))
-        rhs = gp.evaluate(f.evaluate(x))
-        gap = float(np.abs(lhs - rhs).max())
-        if gap > worst:
-            worst, witness = gap, x
+    gaps = np.abs(fp.evaluate_rows(g.images)
+                  - gp.evaluate_rows(f.images)).max(axis=1)
+    worst = float(gaps.max(initial=0.0))
     return CommuteReport(commutes=worst <= tol, max_discrepancy=worst,
-                         witness=None if worst <= tol else witness)
+                         witness=None if worst <= tol
+                         else f.domain.points[int(np.argmax(gaps))])
 
 
 def bellman_lift(u4: ValueFunction, R_gprime: Relation,
@@ -314,14 +346,10 @@ def _fiber_max(u4: ValueFunction, R: Relation) -> ValueFunction:
     if not R.codomain.same_points(u4.space):
         raise InvalidArgument("objective is not defined on the relation's codomain")
     mask = R.mask()
-    vals = u4.values()
-    table = {}
-    for i, p in enumerate(R.domain.points):
-        row = np.nonzero(mask[i])[0]
-        if len(row) == 0:
-            raise Infeasible(f"empty forward fiber at {p}")
-        table[p.coords] = float(vals[row].max())
-    return ValueFunction(R.domain, table)
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if len(empty):
+        raise Infeasible(f"empty forward fiber at {R.domain.points[empty[0]]}")
+    return ValueFunction(R.domain, _over_fibers(np.max, mask, u4.values()))
 
 
 def lipschitz_probe(f: ReimplMap) -> float:
@@ -329,8 +357,7 @@ def lipschitz_probe(f: ReimplMap) -> float:
 
     x' is adjacent to x when one unit of holdings moves between two coordinates.
     """
-    K = f.domain
-    images = np.asarray([f.evaluate(p) for p in K.points]).reshape(len(K), -1)
+    K, images = f.domain, f.images
     E, worst = np.eye(K.n + 1, dtype=np.int64), 0.0
     for i, j in itertools.permutations(range(K.n + 1), 2):
         nb = K.index_holdings(K.holdings - E[i] + E[j])

@@ -69,8 +69,15 @@ def _attr_matrix(g, dim: int) -> np.ndarray:
     return m
 
 
-def _same(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2) <= FLOAT_TOL
+def _same(X: np.ndarray, Y: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
+    """(|X|, |Y|) bool: row pairs within tol in every coordinate."""
+    out = np.zeros((len(X), len(Y)), dtype=bool)
+    if X.shape[1:] != Y.shape[1:]:
+        return out
+    step = max(1, 2_000_000 // max(Y.size, 1))
+    for s in range(0, len(X), step):
+        out[s:s + step] = np.abs(X[s:s + step, None, :] - Y[None, :, :]).max(axis=2) <= tol
+    return out
 
 
 class Relation:
@@ -496,9 +503,8 @@ def graph_of(f) -> MapAsRelation:
     """
     domain: LatticeSpace = f.domain
     codomain: LatticeSpace = f.codomain
-    images = [np.asarray(f.evaluate(p), dtype=float) for p in domain.points]
-    img_matrix = np.asarray(images) if images else np.zeros((0, codomain.n + 1))
-    outside = np.flatnonzero(~codomain.contains_rows(img_matrix))
+    images = f.images
+    outside = np.flatnonzero(~codomain.contains_rows(images))
     if len(outside):
         i = int(outside[0])
         raise InvalidArgument(
@@ -507,7 +513,7 @@ def graph_of(f) -> MapAsRelation:
     def test(X, Y):
         i = domain.index_vectors(X)
         out = np.zeros((len(X), len(Y)), dtype=bool)
-        out[i >= 0] = _same(img_matrix[i[i >= 0]], Y)
+        out[i >= 0] = _same(images[i[i >= 0]], Y)
         return out
 
     return MapAsRelation(domain, codomain, "graph", {"map": getattr(f, "name", "f")},
@@ -525,7 +531,4 @@ def two_cell_exists(f, g, R: Relation, S: Relation) -> bool:
         raise InvalidArgument("f must start at R's domain")
     if not g.domain.same_points(R.codomain):
         raise InvalidArgument("g must start at R's codomain")
-    for x, w in R.pairs:
-        if not S.contains_vectors(f.evaluate(x), g.evaluate(w)):
-            return False
-    return True
+    return not (R.mask() & ~S.test(f.images, g.images)).any()

@@ -31,6 +31,7 @@ from .geometry import (
     restrict,
 )
 from .optimize import Infeasible
+from .relations import Relation
 
 SIMPLEX_SUM_TOL = 1e-12
 
@@ -261,22 +262,17 @@ def metric_pushforward(f, R, r: float):
 
     Returns an explicit relation on (codomain lattice) x Z.
     """
-    from .relations import explicit_relation
-
     if r < 0:
         raise InvalidArgument("radius must be non-negative")
-    codomain = f.codomain
-    Y = codomain.array
-    pairs = []
-    by_z: dict = {}
-    for x, z in R.pairs:
-        by_z.setdefault(z, []).append(np.asarray(f.evaluate(x), dtype=float))
-    for z, centers in by_z.items():
-        C = np.asarray(centers)
-        d2 = ((Y[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        hit = (d2.min(axis=1) <= (r + FLOAT_TOL) ** 2)
-        pairs.extend((codomain.points[i], z) for i in np.nonzero(hit)[0])
-    return explicit_relation(codomain, R.codomain, pairs)
+    Y, F = f.codomain.array, f.images
+    near = np.zeros((len(Y), len(F)), dtype=bool)     # y within r of f(x)
+    step = max(1, 2_000_000 // max(F.size, 1))
+    for s in range(0, len(Y), step):
+        d2 = ((Y[s:s + step, None, :] - F[None, :, :]) ** 2).sum(axis=2)
+        near[s:s + step] = d2 <= (r + FLOAT_TOL) ** 2
+    # float counts: a sum of non-negative terms is never rounded to 0
+    hit = (near.astype(np.float32) @ R.mask().astype(np.float32)) > 0
+    return Relation.from_mask(f.codomain, R.codomain, hit)
 
 
 def compose_radius(rP: float, rQ: float, L: float = 1.0,

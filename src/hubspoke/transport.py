@@ -1,16 +1,17 @@
 """Pullback/pushforward of alignment relations and the coherence-law harness.
 
-Pushforwards carry continuous image points, so results are held as pair
-sets keyed by rounded coordinates (dedup tolerance 1e-9).  Every equality
-law is verified with both sides built from the same hub enumeration, which
-keeps float comparisons bitwise-stable; membership tests through a
-relation's `test` use the tolerance instead.
+Pushforwards carry continuous image points, so results are pair sets: arrays
+of distinct left and right vectors (equal when rounded to 9 decimals, one
+vectorized np.unique per side) and a boolean mask of the pairs between them.
+Every equality law is verified with both sides built from the same hub
+enumeration, which keeps float comparisons bitwise-stable; membership tests
+through a relation's or a pair set's `test` use the tolerance instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,68 +22,78 @@ from .geometry import (
     LatticeSpace,
     enumerate_simplex,
 )
-from .optimize import ReimplMap, identity_map, inclusion_map
-from .relations import Relation, explicit_relation
+from .optimize import ReimplMap, compose_maps, identity_map, inclusion_map
+from .relations import Relation, _same, explicit_relation, intersect
 
 MAX_WITNESSES = 10
 
 _KEY_DECIMALS = 9
 
 
-def _key(v) -> tuple[float, ...]:
-    return tuple(np.round(np.asarray(v, dtype=float), _KEY_DECIMALS).tolist())
+def _merge_rows(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of V that agree when rounded, merged: one representative per
+    rounded row, ascending, with the OR of the matching rows of M.  The
+    representative is the last row of its group."""
+    if not len(V):
+        return V, M
+    keys, inv = np.unique(np.round(V, _KEY_DECIMALS), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    order = np.argsort(inv, kind="stable")
+    ends = np.cumsum(np.bincount(inv, minlength=len(keys)))
+    starts = np.concatenate([[0], ends[:-1]])
+    return V[order[ends - 1]], np.logical_or.reduceat(M[order], starts, axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSet:
-    """A finite set of (left-vector, right-vector) pairs with rounded keys."""
+    """A finite set of (left-vector, right-vector) pairs.
 
-    entries: dict[tuple, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    `left` (A, d) and `right` (B, e) hold distinct vectors in ascending
+    rounded order, and `mask[i, j]` says whether (left[i], right[j]) is a
+    pair; no row or column of `mask` is empty.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    mask: np.ndarray
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple]) -> "PairSet":
-        entries = {}
-        for a, b in pairs:
-            av = np.asarray(a if not isinstance(a, GridPoint) else a.to_array(), dtype=float)
-            bv = np.asarray(b if not isinstance(b, GridPoint) else b.to_array(), dtype=float)
-            entries[(_key(av), _key(bv))] = (av, bv)
-        return cls(entries)
+    def from_mask(cls, left, right, mask) -> "PairSet":
+        """The pairs (left[i], right[j]) at the true cells of mask, in canonical form."""
+        left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
+        rows, cols = mask.any(axis=1), mask.any(axis=0)
+        left, mask = _merge_rows(left[rows], mask[rows][:, cols])
+        right, mask_t = _merge_rows(right[cols], mask.T)
+        return cls(left, right, np.ascontiguousarray(mask_t.T))
 
     def __len__(self):
-        return len(self.entries)
+        return int(self.mask.sum())
 
-    def __iter__(self):
-        return iter(sorted(self.entries))
+    def _canonical(self) -> tuple:
+        return (self.mask, np.round(self.left, _KEY_DECIMALS),
+                np.round(self.right, _KEY_DECIMALS))
+
+    def __eq__(self, other: "PairSet") -> bool:
+        return not (len(self) or len(other)) or all(
+            np.array_equal(a, b) for a, b in zip(self._canonical(), other._canonical()))
 
     def keys(self) -> set:
-        return set(self.entries)
+        """The pairs as tuples of rounded coordinates."""
+        _, L, R = (x.tolist() for x in self._canonical())
+        return {(tuple(L[i]), tuple(R[j])) for i, j in zip(*np.nonzero(self.mask))}
 
-    def vectors(self):
-        return [self.entries[k] for k in sorted(self.entries)]
-
-    def contains(self, a, b, tol: float = FLOAT_TOL) -> bool:
-        """Tolerance membership (linear scan; law-suite sets are small)."""
-        if (_key(a), _key(b)) in self.entries:
-            return True
-        av = np.asarray(a, dtype=float)
-        bv = np.asarray(b, dtype=float)
-        for left, right in self.entries.values():
-            if (np.abs(left - av).max() <= tol and np.abs(right - bv).max() <= tol):
-                return True
-        return False
-
-    def issubset(self, other: "PairSet", tol: float = FLOAT_TOL) -> bool:
-        return all(other.contains(a, b, tol) for a, b in self.vectors())
+    def test(self, X: np.ndarray, Y: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
+        """(|X|, |Y|) bool: (x, y) lies within tol of a pair, coordinatewise."""
+        # float counts: a sum of non-negative terms is never rounded to 0
+        hits = _same(X, self.left, tol).astype(np.float32) @ self.mask.astype(np.float32)
+        return (hits @ _same(Y, self.right, tol).T.astype(np.float32)) > 0
 
     def witnesses_not_in(self, other: "PairSet", tol: float = FLOAT_TOL) -> list:
-        out = []
-        for k in sorted(self.entries):
-            a, b = self.entries[k]
-            if not other.contains(a, b, tol):
-                out.append((tuple(a.tolist()), tuple(b.tolist())))
-            if len(out) >= MAX_WITNESSES:
-                break
-        return out
+        """The first MAX_WITNESSES pairs, in rounded order, with no pair of other within tol."""
+        i, j = np.nonzero(self.mask & ~other.test(self.left, self.right, tol))
+        return [(tuple(self.left[a].tolist()), tuple(self.right[b].tolist()))
+                for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES])]
 
 
 @dataclass(frozen=True)
@@ -120,62 +131,63 @@ class LawReport:
         }
 
 
-def map_images(f: ReimplMap) -> np.ndarray:
-    """(P, m+1) array of images of the domain lattice, in point order."""
-    return np.asarray([f.evaluate(p) for p in f.domain.points], dtype=float)
-
-
 def pullback(f: ReimplMap, S: Relation) -> Relation:
     """f*S = {(x, z): (f(x), z) in S}, an exact relation on f's domain lattice."""
     if not f.codomain.same_points(S.domain):
         raise InvalidArgument("pullback: f must land in S's domain")
-    return Relation.from_mask(f.domain, S.codomain,
-                              S.test(map_images(f), S.codomain.array))
+    return Relation.from_mask(f.domain, S.codomain, S.test(f.images, S.codomain.array))
 
 
 def pushforward(f: ReimplMap, R: Relation) -> PairSet:
     """f_!R = {(f(x), z): (x, z) in R}, deduplicated at tolerance.
 
     The result may contain off-lattice first components, so it is a pair
-    set rather than a lattice relation.
+    set rather than a lattice relation: R's rows grouped by the image of
+    their hub and OR-reduced per group.
     """
     if not f.domain.same_points(R.domain):
         raise InvalidArgument("pushforward: f must start at R's domain")
-    images = {p.coords: f.evaluate(p) for p in f.domain.points}
-    return PairSet.from_pairs(
-        (images[x.coords], z.to_array()) for x, z in R.pairs
-    )
+    return PairSet.from_mask(f.images, R.codomain.array, R.mask())
+
+
+def _within(pairs: PairSet, S: Relation) -> PairSet:
+    """The pairs of a pair set that are members of S."""
+    return PairSet.from_mask(pairs.left, pairs.right,
+                             pairs.mask & S.test(pairs.left, pairs.right))
 
 
 def pushforward_contains(f: ReimplMap, R: Relation, y, z,
                          tol: float = FLOAT_TOL) -> bool:
     """Membership (y, z) in f_!R: exists x with f(x) = y and (x, z) in R."""
-    yv = np.asarray(y, dtype=float)
-    zv = np.asarray(z if not isinstance(z, GridPoint) else z.to_array(), dtype=float)
-    for x, w in R.pairs:
-        if np.abs(w.to_array() - zv).max() > tol:
-            continue
-        if np.abs(np.asarray(f.evaluate(x)) - yv).max() <= tol:
-            return True
-    return False
+    zv = z.to_array() if isinstance(z, GridPoint) else z
+    xs = _same(f.images, np.asarray(y, dtype=float)[None], tol)[:, 0]
+    zs = _same(R.codomain.array, np.asarray(zv, dtype=float)[None], tol)[:, 0]
+    return bool(R.mask()[np.ix_(xs, zs)].any())
 
 
 def verify_adjunction(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
     """R included in f*S  iff  f_!R included in S, checked independently."""
     pb = pullback(f, S)
+    R_mask = R.mask()
     # R subset of f*S
-    left = not (R.mask() & ~pb.test(R.domain.array, R.codomain.array)).any()
+    left = not (R_mask & ~pb.test(R.domain.array, R.codomain.array)).any()
     push = pushforward(f, R)
-    right = all(S.contains_vectors(a, b) for a, b in push.vectors())  # f_!R subset of S
+    right = not (push.mask & ~S.test(push.left, push.right)).any()  # f_!R subset of S
     holds = left == right
     witnesses = ()
     if not holds:
-        side = [(tuple(x.to_array().tolist()), tuple(z.to_array().tolist()))
-                for x, z in R.pairs[:MAX_WITNESSES]]
-        witnesses = tuple(side)
-    return LawReport("adjunction", holds, len(R.pairs), len(push),
+        i, j = np.nonzero(R_mask)
+        witnesses = tuple((tuple(R.domain.array[a].tolist()),
+                           tuple(R.codomain.array[b].tolist()))
+                          for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES]))
+    return LawReport("adjunction", holds, int(R_mask.sum()), len(push),
                      witnesses=witnesses,
                      detail={"hub_side": left, "spoke_side": right})
+
+
+def _two_way_witnesses(lhs: PairSet, rhs: PairSet) -> tuple:
+    """Pairs of lhs, then of rhs, with no pair of the other side within tol."""
+    return tuple((lhs.witnesses_not_in(rhs) + rhs.witnesses_not_in(lhs))[:MAX_WITNESSES])
 
 
 def verify_functoriality(f: ReimplMap, g: ReimplMap, R: Relation,
@@ -183,44 +195,30 @@ def verify_functoriality(f: ReimplMap, g: ReimplMap, R: Relation,
     """(g . f)_! R  ==  g_! (f_! R); dually f*(g*S) == (g.f)*S when S given."""
     if not f.codomain.same_points(g.domain):
         raise InvalidArgument("functoriality: maps do not compose")
-    from .optimize import compose_maps
-
     gf = compose_maps(g, f)
     direct = pushforward(gf, R)
     inner = pushforward(f, R)
     # Push the intermediate pair set through g (g must accept its vectors).
-    staged = PairSet.from_pairs(
-        (g.evaluate(a), b) for a, b in inner.vectors()
-    )
-    holds = direct.keys() == staged.keys()
-    witnesses = tuple((direct.witnesses_not_in(staged)
-                       + staged.witnesses_not_in(direct))[:MAX_WITNESSES])
+    staged = PairSet.from_mask(g.evaluate_rows(inner.left), inner.right, inner.mask)
+    holds = direct == staged
     detail = {}
     if S is not None:
-        lhs = pullback(f, pullback(g, S))
-        rhs = pullback(gf, S)
-        dual_ok = {p for p in lhs.pairs} == {p for p in rhs.pairs}
+        dual_ok = np.array_equal(pullback(f, pullback(g, S)).mask(),
+                                 pullback(gf, S).mask())
         detail["pullback_dual"] = dual_ok
         holds = holds and dual_ok
     return LawReport("functoriality", holds, len(direct), len(staged),
-                     witnesses=() if holds else witnesses, detail=detail)
+                     witnesses=() if holds else _two_way_witnesses(direct, staged),
+                     detail=detail)
 
 
 def verify_frobenius(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
     """f_!(R intersect f*S) == f_!R intersect S, as identical pair sets."""
-    from .relations import intersect
-
-    pb = pullback(f, S)
-    lhs = pushforward(f, intersect(R, pb))
-    push = pushforward(f, R)
-    rhs = PairSet.from_pairs(
-        (a, b) for a, b in push.vectors() if S.contains_vectors(a, b)
-    )
-    holds = lhs.keys() == rhs.keys()
-    witnesses = tuple((lhs.witnesses_not_in(rhs)
-                       + rhs.witnesses_not_in(lhs))[:MAX_WITNESSES])
+    lhs = pushforward(f, intersect(R, pullback(f, S)))
+    rhs = _within(pushforward(f, R), S)
+    holds = lhs == rhs
     return LawReport("frobenius", holds, len(lhs), len(rhs),
-                     witnesses=() if holds else witnesses)
+                     witnesses=() if holds else _two_way_witnesses(lhs, rhs))
 
 
 @dataclass(frozen=True)
@@ -233,13 +231,14 @@ class CommutingSquare:
     h: ReimplMap
 
     def __post_init__(self):
-        if not self.g.domain.same_points(self.fp.domain):
-            raise InvalidArgument("square: g and f' must share the hub K_A")
-        worst = 0.0
-        for x in self.g.domain.points:
-            top = self.f.evaluate(self.g.evaluate(x))
-            bottom = self.h.evaluate(self.fp.evaluate(x))
-            worst = max(worst, float(np.abs(np.asarray(top) - np.asarray(bottom)).max()))
+        for a, b, what in ((self.g.domain, self.fp.domain, "g and f' must share the hub K_A"),
+                           (self.g.codomain, self.f.domain, "g must land in f's domain K_B"),
+                           (self.fp.codomain, self.h.domain, "f' must land in h's domain K_C"),
+                           (self.f.codomain, self.h.codomain, "f and h must share the target K_D")):
+            if not a.same_points(b):
+                raise InvalidArgument(f"square: {what}")
+        worst = float(np.abs(self.f.evaluate_rows(self.g.images)
+                             - self.h.evaluate_rows(self.fp.images)).max(initial=0.0))
         if worst > FLOAT_TOL:
             raise InvalidArgument(
                 f"square does not commute: max pointwise discrepancy {worst:.3e}"
@@ -259,17 +258,10 @@ def _require_lattice_valued(square: CommutingSquare):
 
 def _late_audit_pairs(square: CommutingSquare, R: Relation) -> PairSet:
     """h*(f_! R) enumerated over K_C x Z (vectorized membership)."""
-    f_img = map_images(square.f)                      # (|B|, d)
-    R_mask = R.mask()                                 # (|B|, |Z|)
-    K_C = square.h.domain
-    h_img = map_images(square.h)                      # (|C|, d)
     # match[c, b]: h(y_c) equals f(y_b) within tolerance
-    match = (np.abs(h_img[:, None, :] - f_img[None, :, :]).max(axis=2) <= FLOAT_TOL)
-    member = (match.astype(np.float32) @ R_mask.astype(np.float32)) > 0  # (|C|, |Z|)
-    return PairSet.from_pairs(
-        (K_C.points[i].to_array(), R.codomain.points[j].to_array())
-        for i, j in zip(*np.nonzero(member))
-    )
+    match = _same(square.h.images, square.f.images)
+    member = (match.astype(np.float32) @ R.mask().astype(np.float32)) > 0  # (|C|, |Z|)
+    return PairSet.from_mask(square.h.domain.array, R.codomain.array, member)
 
 
 def verify_lax_bc(square: CommutingSquare, R: Relation) -> LawReport:
@@ -287,19 +279,13 @@ def verify_lax_bc(square: CommutingSquare, R: Relation) -> LawReport:
 def pointwise_cartesian(square: CommutingSquare, tol: float = FLOAT_TOL) -> tuple[bool, list]:
     """Witness search: every consistent (y, z) with f(y) = h(z) lifts to K_A."""
     K_B, K_C = square.g.codomain, square.fp.codomain
-    g_img = map_images(square.g)
-    fp_img = map_images(square.fp)
-    f_img = map_images(square.f)
-    h_img = map_images(square.h)
-    consistent = (np.abs(f_img[:, None, :] - h_img[None, :, :]).max(axis=2) <= tol)
-    g_hits = (np.abs(g_img[:, None, :] - K_B.array[None, :, :]).max(axis=2) <= tol)
-    fp_hits = (np.abs(fp_img[:, None, :] - K_C.array[None, :, :]).max(axis=2) <= tol)
+    consistent = _same(square.f.images, square.h.images, tol)
+    g_hits = _same(square.g.images, K_B.array, tol)
+    fp_hits = _same(square.fp.images, K_C.array, tol)
     lifted = (g_hits.astype(np.float32).T @ fp_hits.astype(np.float32)) > 0  # (|B|, |C|)
-    failures = [
-        (tuple(K_B.points[i].to_array().tolist()),
-         tuple(K_C.points[j].to_array().tolist()))
-        for i, j in zip(*np.nonzero(consistent & ~lifted))
-    ][:MAX_WITNESSES]
+    i, j = np.nonzero(consistent & ~lifted)
+    failures = [(tuple(K_B.array[a].tolist()), tuple(K_C.array[b].tolist()))
+                for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES])]
     return not failures, failures
 
 
@@ -311,13 +297,11 @@ def verify_strict_bc(square: CommutingSquare, R: Relation) -> LawReport:
     cartesian, cart_failures = pointwise_cartesian(square)
     lhs = pushforward(square.fp, pullback(square.g, R))
     rhs = _late_audit_pairs(square, R)
-    holds = lhs.keys() == rhs.keys()
-    witnesses = tuple((lhs.witnesses_not_in(rhs)
-                       + rhs.witnesses_not_in(lhs))[:MAX_WITNESSES])
+    holds = lhs == rhs
     return LawReport("strict_bc", holds, len(lhs), len(rhs),
-                     witnesses=() if holds else witnesses,
+                     witnesses=() if holds else _two_way_witnesses(lhs, rhs),
                      detail={"pointwise_cartesian": cartesian,
-                             "cartesian_failures": cart_failures[:MAX_WITNESSES]})
+                             "cartesian_failures": cart_failures})
 
 
 # -- closure-fix counterexamples ----------------------------------------------
@@ -337,20 +321,20 @@ def _half_open_interval_fixture(N: int = 10):
     return full, half, endpoint
 
 
-def _endpoint_closure(pairs: PairSet, half: LatticeSpace, endpoint: GridPoint,
-                      N: int) -> PairSet:
+def _endpoint_closure(pairs: PairSet, endpoint: GridPoint, N: int) -> PairSet:
     """Topological-closure surrogate on the fixture: complete diagonal limits.
 
     A sequence marching up the removed endpoint exists exactly when the
     immediate-predecessor diagonal pair is present; its limit (1, 1) is
     then adjoined, mirroring cl(f_!R) in the continuous counterexample.
     """
-    pred = GridPoint((N - 1, 1), N).to_array()
+    pred = GridPoint((N - 1, 1), N).to_array()[None]
+    if not pairs.test(pred, pred)[0, 0]:
+        return pairs
     ev = endpoint.to_array()
-    out = dict(pairs.entries)
-    if pairs.contains(pred, pred):
-        out[(_key(ev), _key(ev))] = (ev, ev)
-    return PairSet(out)
+    mask = np.pad(pairs.mask, ((0, 1), (0, 1)))
+    mask[-1, -1] = True
+    return PairSet.from_mask(np.vstack([pairs.left, ev]), np.vstack([pairs.right, ev]), mask)
 
 
 def closure_fix_demo(which: str, N: int = 10, closed_hub: bool = False) -> LawReport:
@@ -369,33 +353,20 @@ def closure_fix_demo(which: str, N: int = 10, closed_hub: bool = False) -> LawRe
 
     if which == "frobenius":
         R = explicit_relation(hub, full, [(p, p) for p in hub.points])
-        pb = pullback(incl, S)
-        filtered = [(x, z) for x, z in R.pairs if pb.contains(x, z)]
         lhs = _endpoint_closure(
-            PairSet.from_pairs((incl.evaluate(x), z.to_array()) for x, z in filtered),
-            hub, endpoint, N)
-        closed_push = _endpoint_closure(pushforward(incl, R), hub, endpoint, N)
-        rhs = PairSet.from_pairs(
-            (a, b) for a, b in closed_push.vectors() if S.contains_vectors(a, b))
+            pushforward(incl, intersect(R, pullback(incl, S))), endpoint, N)
+        rhs = _within(_endpoint_closure(pushforward(incl, R), endpoint, N), S)
     elif which == "bc":
         # g = f' = inclusion, f = h = id; R lives on K_B = full.
-        ident = identity_map(full)
         lhs = _endpoint_closure(
-            pushforward(incl, pullback(incl, S)), hub, endpoint, N)
-        push = _endpoint_closure(pushforward(ident, S), hub, endpoint, N)
-        rhs_pairs = []
-        for y in full.points:
-            for z in full.points:
-                if push.contains(y.to_array(), z.to_array()):
-                    rhs_pairs.append((y, z))
-        rhs = PairSet.from_pairs(rhs_pairs)
+            pushforward(incl, pullback(incl, S)), endpoint, N)
+        push = _endpoint_closure(pushforward(identity_map(full), S), endpoint, N)
+        rhs = PairSet.from_mask(full.array, full.array, push.test(full.array, full.array))
     else:
         raise InvalidArgument("which must be 'frobenius' or 'bc'")
 
-    holds = lhs.keys() == rhs.keys()
-    witnesses = tuple((rhs.witnesses_not_in(lhs)
-                       + lhs.witnesses_not_in(rhs))[:MAX_WITNESSES])
+    holds = lhs == rhs
     return LawReport(f"closure_fix_{which}", holds, len(lhs), len(rhs),
-                     witnesses=() if holds else witnesses,
+                     witnesses=() if holds else _two_way_witnesses(rhs, lhs),
                      detail={"closed_hub": closed_hub,
                              "lhs": sorted(lhs.keys()), "rhs": sorted(rhs.keys())})

@@ -99,6 +99,28 @@ class TestVerify:
                         "--fixture", str(path))
         assert code == 0 and json.loads(out)["holds"]
 
+    @pytest.mark.parametrize("law", ["lax-bc", "strict-bc"])
+    def test_square_whose_maps_do_not_chain_exit_two(self, capsys, tmp_path, law):
+        # f is defined on x1 <= 0.5 while g lands in all of Delta^1
+        eye = np.eye(2).tolist()
+        half = parse_constraint("x1<=0.5", 2).to_dict()
+        doc = {
+            "spaces": {"line": {"n": 1, "N": 4, "constraints": []},
+                       "half": {"n": 1, "N": 4, "constraints": [half]}},
+            "maps": {k: {"rule": "affine", "matrix": eye, "domain": dom, "codomain": "line"}
+                     for k, dom in (("g", "line"), ("fp", "line"), ("f", "half"),
+                                    ("h", "line"))},
+            "relations": {"R": {"kind": "turnover", "params": {"kappa": 0.5},
+                                "domain": "half", "codomain": "line"}},
+            "args": {"g": "g", "fp": "fp", "f": "f", "h": "h", "R": "R"},
+        }
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "--law", law, "--fixture", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: square: g must land in f's domain K_B\n"
+
 
 class TestDemo:
     def test_closure_fix_violates(self, capsys):
@@ -201,6 +223,30 @@ class TestMenuAndMaps:
         saved = json.loads(open(out_path).read())
         assert len(saved["table"]) == 11
 
+    @pytest.mark.parametrize("spec", [
+        {"p": float("nan")},
+        {"p": float("inf")},
+        {"gA": [[float("nan"), 0.0]], "gB": [[1.0, 0.0]]},
+        {"gA": [[1.0, 0.0]], "gB": [[1.0, float("inf")]]},
+        {"lambda": float("nan")},
+        {"lambda": float("inf"), "u": {"kind": "linear", "coeffs": [1, 0]}},
+        {"lambda": 1.0, "u": {"kind": "linear", "coeffs": [float("nan"), 0]}},
+        {"lambda": 1.0, "u": {"kind": "neg_fee", "functional": [float("inf"), 0]}},
+        {"lambda": 1.0, "u": {"kind": "quadratic", "center": [0.5, 0.5],
+                              "scale": float("nan")}},
+        {"lambda": 1.0, "u": {"kind": "quadratic", "center": [float("nan"), 0.5]}},
+    ])
+    def test_build_map_non_finite_objective_exit_two(self, capsys, tmp_path, spec):
+        space = {"n": 1, "N": 10, "constraints": []}
+        for name, doc in [("spec", spec), ("hub", space), ("spoke", space)]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        code = main(["build-map", "--spec", str(tmp_path / "spec.json"),
+                     "--hub", str(tmp_path / "hub.json"),
+                     "--spoke", str(tmp_path / "spoke.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestStochasticCommands:
     def test_kernel_radius(self, capsys):
@@ -298,3 +344,26 @@ class TestWorkflowCommand:
         assert code == 0
         saved = json.loads(open(reg).read())
         assert "f_new" in saved["hmorphisms"] and "k_new" in saved["objects"]
+
+    @pytest.mark.parametrize("objective", [
+        {"kind": "quadratic", "center": [float("nan"), 0.3, 0.3]},
+        {"kind": "quadratic", "center": [0.3, 0.3, 0.3], "scale": float("inf")},
+        {"kind": "linear", "coeffs": [1.0, float("-inf"), 0.0]},
+        {"kind": "neg_fee", "functional": [10, float("nan"), 0]},
+    ])
+    def test_workflow_c_non_finite_objective_exit_two(self, capsys, tmp_path, objective):
+        reg = self._registry(tmp_path)
+        ledger = tmp_path / "l.jsonl"
+        assert main(["workflow", "a", "--registry", reg, "--ledger", str(ledger),
+                     "--map", "f1", "--relation", "r1", "--hub", "0.3,0.5,0.2"]) == 0
+        before = (open(reg, "rb").read(), ledger.read_bytes())
+        obj = tmp_path / "objective.json"
+        obj.write_text(json.dumps(objective))
+        capsys.readouterr()
+        code = main(["workflow", "c", "--registry", reg, "--ledger", str(ledger),
+                     "--relation", "r1", "--objective", str(obj),
+                     "--new-map", "f_new", "--new-object", "k_new"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert (open(reg, "rb").read(), ledger.read_bytes()) == before

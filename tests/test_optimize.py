@@ -150,8 +150,8 @@ class TestSquares:
         R = build_relation(K, K, "turnover", kappa=0.5)
         u4 = ValueFunction.from_callable(K, lambda w: 1.0)
         u2, u3 = bellman_lift(u4, R, R)
-        assert set(u2.table.values()) == {1.0}
-        assert set(u3.table.values()) == {1.0}
+        assert set(u2.values()) == {1.0}
+        assert set(u3.values()) == {1.0}
 
     def test_bellman_empty_forward_fiber(self):
         K = enumerate_simplex(1, 4)
@@ -227,6 +227,18 @@ class TestMapMechanics:
         gf = compose_maps(g, f)
         x = K.points[7]
         assert np.allclose(gf.evaluate(x), g.evaluate(f.evaluate(x)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_value_function_rejects_non_finite_values(self, bad):
+        K = enumerate_simplex(1, 4)
+        with pytest.raises(InvalidArgument, match="not finite at"):
+            ValueFunction.from_callable(K, lambda w: bad if w[0] == 0.5 else 0.0)
+
+    @pytest.mark.parametrize("kw", [{"p": float("nan")}, {"p": float("inf")},
+                                    {"lam": float("nan")}, {"gA": [[float("nan"), 1.0]]}])
+    def test_objective_spec_rejects_non_finite(self, kw):
+        with pytest.raises(InvalidArgument, match="finite"):
+            ObjectiveSpec(**kw)
 
     def test_lattice_argmin_rejects_outside_domain(self):
         K = enumerate_simplex(1, 4)
