@@ -28,7 +28,7 @@ from hubspoke.stochastic import (
     KernelSpec,
     builtin_scenarios,
     gaussian_radius_oracle,
-    hdr,
+    hdr_regions,
     lattice_components,
     metric_pullback_check,
     sample_kernel,
@@ -70,8 +70,7 @@ def hdr_counts(delta1, seed, eval_N=160):
                       n_samples=sc.spec.n_samples, seed=seed, delta1=delta1)
     cloud = sample_kernel(spec, sc.hub)
     lattice = enumerate_simplex(2, eval_N)
-    r20 = hdr(cloud, spec.sigma, 0.20, lattice)
-    r05 = hdr(cloud, spec.sigma, 0.05, lattice)
+    r20, r05 = hdr_regions(cloud, spec.sigma, (0.20, 0.05), lattice)
     nested = set(r05.region) <= set(r20.region)
     comps = len(lattice_components(r20.region))
     return len(r20.region), len(r05.region), nested, comps

@@ -44,7 +44,7 @@ from .stochastic import (
     builtin_scenarios,
     comparison_table,
     gaussian_radius_oracle,
-    hdr,
+    hdr_regions,
     lattice_components,
     metric_pullback_check,
     metric_pushforward,
@@ -416,8 +416,7 @@ def criterion_11():
     sc = builtin_scenarios()["split_peak"]
     cloud = sample_kernel(sc.spec, sc.hub)
     lattice = enumerate_simplex(2, 160)
-    r20 = hdr(cloud, sc.spec.sigma, 0.20, lattice)
-    r05 = hdr(cloud, sc.spec.sigma, 0.05, lattice)
+    r20, r05 = hdr_regions(cloud, sc.spec.sigma, (0.20, 0.05), lattice)
     comps = lattice_components(r20.region)
     nested = set(r05.region) <= set(r20.region)
     c20_ok = abs(len(r20.region) - 40) <= 12

@@ -25,7 +25,7 @@ from .geometry import (
     parse_step,
     restrict,
 )
-from .optimize import ObjectiveSpec, build_metric_reimpl
+from .optimize import Infeasible, ObjectiveSpec, build_metric_reimpl
 from .relations import build_relation
 from .stochastic import (
     KernelSpec,
@@ -187,7 +187,7 @@ def cmd_kernel(args) -> int:
     if args.constraint:
         amb = enumerate_simplex(len(hub) - 1, 50)
         S = restrict(amb, [parse_constraint(args.constraint, len(hub))])
-        check = metric_pullback_check(S, rad.r, hub)
+        check = metric_pullback_check(S, rad.r, hub, ambient=amb)
         payload["eroded_count"] = len(check.eroded)
         payload["hub_accepted"] = check.accepted
     _emit(payload)
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InvalidArgument as e:
+    except (InvalidArgument, Infeasible) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,10 @@
 A kernel is a Monte Carlo sampler: noise of a named shape added to the hub
 point, then Euclidean projection back onto the simplex.  Compliance is
 judged three ways on the sampled cloud: a safety radius (quantile of
-distances, with lattice erosion/dilation), a highest-density region from a
-Gaussian KDE, and a Wasserstein-1 cure cost.
+distances, with lattice erosion/dilation), a chance constraint with its
+highest-density region from a Gaussian KDE, and a Wasserstein-1 cure cost.
+Each check has a verdict and a set; the three-way comparison computes only
+the verdicts.
 
 Sampling uses the counter-based Philox generator keyed by the seed, so a
 cloud is a pure function of (spec, hub, seed); sample i occupies a fixed
@@ -27,6 +29,7 @@ from .geometry import (
     LatticeSpace,
     LinearConstraint,
     enumerate_simplex,
+    expected_simplex_size,
     parse_constraint,
     restrict,
 )
@@ -47,6 +50,9 @@ BIMODAL_OFFSET = 0.05
 # Sample distances per kde_density block: two float64 buffers of this many
 # entries (1 MB) stay in a 2 MB L2 cache.
 KDE_BLOCK = 2**16
+
+# Hard cap on the samples of one cloud, checked before anything is drawn.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,9 @@ class KernelSpec:
             raise InvalidArgument("sigma must be a finite positive number")
         if self.n_samples < 100:
             raise InvalidArgument("need at least 100 samples")
+        if self.n_samples > MAX_SAMPLES:
+            raise InvalidArgument(f"{self.n_samples} samples exceed the supported "
+                                  f"{MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -230,30 +239,43 @@ class ErosionCheck:
     r: float
 
 
+def erosion_verdict(S: LatticeSpace, r: float, img: Sequence[float],
+                    ambient: Optional[LatticeSpace] = None) -> tuple[np.ndarray, bool]:
+    """Ambient lattice points outside S, and whether img lies farther than r
+    from all of them (the hub verdict of the erosion check).
+
+    `ambient` is the full lattice of S's simplex when the caller already
+    has it; otherwise it is enumerated.
+    """
+    if r < 0:
+        raise InvalidArgument("radius must be non-negative")
+    if ambient is None:
+        ambient = enumerate_simplex(S.n, S.N)
+    elif (ambient.n, ambient.N, len(ambient)) != (S.n, S.N, expected_simplex_size(S.n, S.N)):
+        raise InvalidArgument("ambient must be the full lattice of the constraint space")
+    viol = ambient.array[S.index_holdings(ambient.holdings) < 0]
+    accepted = len(viol) == 0 or bool(((viol - img) ** 2).sum(axis=1).min() > r * r)
+    return viol, accepted
+
+
 def metric_pullback_check(S: LatticeSpace, r: float, hub: Sequence[float],
-                          center_map=None) -> ErosionCheck:
+                          center_map=None,
+                          ambient: Optional[LatticeSpace] = None) -> ErosionCheck:
     """Inner parallel set of S on its lattice, and the hub verdict.
 
     A constraint point survives erosion when every ambient lattice point
     within distance r of it also satisfies the constraints; the hub is
     accepted when its (centered) image would survive the same test.
     """
-    if r < 0:
-        raise InvalidArgument("radius must be non-negative")
     hub = np.asarray(hub, dtype=np.float64)
     img = np.asarray(center_map.evaluate(hub) if center_map is not None else hub,
                      dtype=np.float64)
-    ambient = enumerate_simplex(S.n, S.N)
-    in_S = S.index_holdings(ambient.holdings) >= 0
-    viol = ambient.array[~in_S]
+    viol, accepted = erosion_verdict(S, r, img, ambient)
     if len(viol) == 0:
         eroded = S.points
-        accepted = True
     else:
         d2 = ((S.array[:, None, :] - viol[None, :, :]) ** 2).sum(axis=2)
-        safe = d2.min(axis=1) > r * r
-        eroded = tuple(S.points[i] for i in np.nonzero(safe)[0])
-        accepted = bool(((viol - img) ** 2).sum(axis=1).min() > r * r)
+        eroded = tuple(S.points[i] for i in np.nonzero(d2.min(axis=1) > r * r)[0])
     return ErosionCheck(eroded=eroded, accepted=accepted, hub_image=img, r=r)
 
 
@@ -320,31 +342,43 @@ def kde_density(samples: np.ndarray, queries: np.ndarray,
     return out
 
 
-def hdr(cloud: SampleCloud, bandwidth: float, epsilon: float,
-        eval_lattice: LatticeSpace) -> HdrResult:
-    """Density superlevel region at the sample-quantile threshold.
+def hdr_regions(cloud: SampleCloud, bandwidth: float, epsilons: Sequence[float],
+                eval_lattice: LatticeSpace) -> list[HdrResult]:
+    """Density superlevel regions at the sample-quantile thresholds, one per
+    risk budget, from one pair of density evaluations.
 
     lambda_eps is the nearest-rank (1-eps) quantile of the density at the
     sample points, so shrinking the risk budget keeps only higher-density
     lattice points and regions nest: region(0.05) is inside region(0.20).
     """
-    if not 0.0 < epsilon < 1.0:
+    epsilons = tuple(epsilons)
+    if not all(0.0 < eps < 1.0 for eps in epsilons):
         raise InvalidArgument("epsilon must lie in (0, 1)")
     spread = float(np.max(np.abs(cloud.samples - cloud.samples[0])))
     if spread <= 1e-12:
         # Degenerate cloud: report the nearest lattice point as a point mass.
         d2 = ((eval_lattice.array - cloud.samples[0]) ** 2).sum(axis=1)
         pt = eval_lattice.points[int(np.argmin(d2))]
-        return HdrResult(lambda_eps=float("inf"), region=(pt,),
-                         bandwidth=bandwidth, mass=1.0, point_mass=True)
+        return [HdrResult(lambda_eps=float("inf"), region=(pt,), bandwidth=bandwidth,
+                          mass=1.0, point_mass=True) for _ in epsilons]
     dens_at_samples = kde_density(cloud.samples, cloud.samples, bandwidth)
-    k = math.ceil((1.0 - epsilon) * len(dens_at_samples))
-    lam = float(np.partition(dens_at_samples, k - 1)[k - 1])
     dens_at_grid = kde_density(cloud.samples, eval_lattice.array, bandwidth)
-    region = tuple(eval_lattice.points[i]
-                   for i in np.nonzero(dens_at_grid >= lam)[0])
-    mass = float((dens_at_samples >= lam).mean())
-    return HdrResult(lambda_eps=lam, region=region, bandwidth=bandwidth, mass=mass)
+    out = []
+    for eps in epsilons:
+        k = math.ceil((1.0 - eps) * len(dens_at_samples))
+        lam = float(np.partition(dens_at_samples, k - 1)[k - 1])
+        region = tuple(eval_lattice.points[i]
+                       for i in np.nonzero(dens_at_grid >= lam)[0])
+        mass = float((dens_at_samples >= lam).mean())
+        out.append(HdrResult(lambda_eps=lam, region=region, bandwidth=bandwidth, mass=mass))
+    return out
+
+
+def hdr(cloud: SampleCloud, bandwidth: float, epsilon: float,
+        eval_lattice: LatticeSpace) -> HdrResult:
+    """Density superlevel region at one risk budget (see hdr_regions)."""
+    (result,) = hdr_regions(cloud, bandwidth, (epsilon,), eval_lattice)
+    return result
 
 
 def lattice_components(points: Sequence[GridPoint]) -> list[set[GridPoint]]:
@@ -376,6 +410,15 @@ class HdrCheck:
     region_size: int
 
 
+def chance_constraint(cloud: SampleCloud, S: LatticeSpace,
+                      epsilon: float) -> tuple[float, bool]:
+    """Sample mass inside S, and the verdict P(sample in S) >= 1 - eps."""
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidArgument("epsilon must lie in (0, 1)")
+    mass = float(S.contains_rows(cloud.samples).mean())
+    return mass, mass >= 1.0 - epsilon
+
+
 def hdr_pullback_check(cloud: SampleCloud, S: LatticeSpace, epsilon: float,
                        bandwidth: Optional[float] = None,
                        eval_lattice: Optional[LatticeSpace] = None) -> HdrCheck:
@@ -384,14 +427,12 @@ def hdr_pullback_check(cloud: SampleCloud, S: LatticeSpace, epsilon: float,
     Also reports the robust (geometric) verdict: the density region lying
     entirely inside S.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgument("epsilon must lie in (0, 1)")
-    mass = float(S.contains_rows(cloud.samples).mean())
+    mass, verdict = chance_constraint(cloud, S, epsilon)
     bw = bandwidth if bandwidth is not None else cloud.spec.sigma
     lattice = eval_lattice if eval_lattice is not None else enumerate_simplex(S.n, S.N)
     region = hdr(cloud, bw, epsilon, lattice).region
     robust = bool(S.contains_rows(np.asarray([p.to_array() for p in region])).all())
-    return HdrCheck(mass=mass, verdict=mass >= 1.0 - epsilon,
+    return HdrCheck(mass=mass, verdict=verdict,
                     robust_verdict=robust, region_size=len(region))
 
 
@@ -534,24 +575,31 @@ class ComparisonRow:
 def three_way_compare(scenario: Scenario,
                       constraint: Optional[str] = None,
                       epsilon: Optional[float] = None) -> ComparisonRow:
-    """Safety-radius, HDR and Wasserstein verdicts for one scenario."""
+    """Safety-radius, HDR and Wasserstein verdicts for one scenario.
+
+    Only the verdicts are computed: the radius column is the erosion hub
+    verdict without the eroded set, and the HDR column is the
+    chance-constraint mass P(sample in S) >= 1 - eps; the density region
+    and its robust verdict (hdr_pullback_check) are not computed here.
+    """
     if constraint is not None:
         scenario = replace(scenario, constraint=constraint)
     if epsilon is not None:
         scenario = replace(scenario, epsilon=epsilon)
     cloud = sample_kernel(scenario.spec, scenario.hub)
     rad = safety_radius(cloud, scenario.hub, scenario.epsilon)
-    S_erosion = scenario.constraint_space(scenario.erosion_N)
-    erosion = metric_pullback_check(S_erosion, rad.r, scenario.hub)
+    ambient = enumerate_simplex(len(scenario.hub) - 1, scenario.erosion_N)
+    S_erosion = restrict(ambient, [parse_constraint(scenario.constraint, len(scenario.hub))])
+    _, erosion_ok = erosion_verdict(S_erosion, rad.r, scenario.hub, ambient)
     S_cure = scenario.constraint_space(scenario.cure_N)
-    check = hdr_pullback_check(cloud, S_cure, scenario.epsilon)
+    mass, hdr_ok = chance_constraint(cloud, S_cure, scenario.epsilon)
     cure = wasserstein_cure(cloud, S_cure)
     return ComparisonRow(
         scenario=scenario.name,
         radius=rad.r,
-        radius_verdict="Safe" if erosion.accepted else "Rejected",
-        hdr_mass=check.mass,
-        hdr_verdict="Safe" if check.verdict else "Rejected",
+        radius_verdict="Safe" if erosion_ok else "Rejected",
+        hdr_mass=mass,
+        hdr_verdict="Safe" if hdr_ok else "Rejected",
         cure_mean=cure.mean_cost,
         cure_verdict="Approved" if cure.mean_cost <= scenario.cure_budget else "Denied",
     )

@@ -283,6 +283,56 @@ class TestStochasticCommands:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--scenario", "gaussian", "--constraint", "x1>=2"],
+        ["cure", "--constraint", "x1>=2"],
+    ])
+    def test_empty_constraint_space_exit_two(self, capsys, argv):
+        code = main(argv + ["--n", "200"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--scenario", "all"],
+        ["compare", "--scenario", "banana"],
+        ["kernel"],
+        ["cure", "--constraint", "x1<=0.5"],
+    ])
+    def test_sample_budget_exit_two(self, capsys, monkeypatch, argv):
+        import hubspoke.cli as cli
+
+        def refuse(*a, **kw):
+            raise AssertionError("sampled past the budget")
+
+        monkeypatch.setattr(cli, "sample_kernel", refuse)
+        monkeypatch.setattr("hubspoke.stochastic.sample_kernel", refuse)
+        code = main(argv + ["--n", "100000000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "samples exceed" in captured.err and captured.err.count("\n") == 1
+
+    def test_compare_computes_no_density(self, capsys, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("kde_density called")
+
+        monkeypatch.setattr("hubspoke.stochastic.kde_density", refuse)
+        code, out = run(capsys, "compare", "--scenario", "all", "--n", "500")
+        assert code == 0 and len(json.loads(out)) == 3
+
+    def test_kernel_enumerates_the_lattice_once(self, capsys, monkeypatch):
+        import hubspoke.cli as cli
+
+        calls = []
+        real = cli.enumerate_simplex
+        counting = lambda *a: calls.append(a) or real(*a)
+        monkeypatch.setattr(cli, "enumerate_simplex", counting)
+        monkeypatch.setattr("hubspoke.stochastic.enumerate_simplex", counting)
+        code, out = run(capsys, "kernel", "--shape", "banana", "--hub", "0.32,0.34,0.34",
+                        "--constraint", "x1<=0.4", "--n", "500")
+        assert code == 0 and "eroded_count" in json.loads(out)
+        assert calls == [(2, 50)]
+
     def test_compare_single_scenario(self, capsys):
         code, out = run(capsys, "compare", "--scenario", "banana",
                         "--constraint", "x1<=0.4", "--n", "2000", "--seed", "42")

@@ -17,6 +17,8 @@ from hubspoke.optimize import identity_map
 from hubspoke.relations import build_relation, explicit_relation
 from hubspoke.stochastic import (
     KDE_BLOCK,
+    MAX_SAMPLES,
+    ComparisonRow,
     KernelSpec,
     SampleCloud,
     builtin_scenarios,
@@ -25,6 +27,7 @@ from hubspoke.stochastic import (
     gaussian_radius_oracle,
     hdr,
     hdr_pullback_check,
+    hdr_regions,
     kde_density,
     lattice_components,
     metric_pullback_check,
@@ -33,6 +36,7 @@ from hubspoke.stochastic import (
     sample_chain,
     sample_kernel,
     safety_radius,
+    three_way_compare,
     wasserstein_cure,
 )
 
@@ -129,6 +133,11 @@ class TestSampling:
         with pytest.raises(InvalidArgument):
             KernelSpec(n_samples=50)
 
+    def test_sample_budget(self):
+        assert KernelSpec(n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
+        with pytest.raises(InvalidArgument, match="samples exceed"):
+            KernelSpec(n_samples=MAX_SAMPLES + 1)
+
     def test_cloud_invariant_enforced(self):
         with pytest.raises(InvalidArgument):
             SampleCloud(hub=np.asarray(HUB),
@@ -196,6 +205,20 @@ class TestErosionDilation:
         r = safety_radius(sample_kernel(sc.spec, sc.hub), sc.hub, 0.05).r
         S = sc.constraint_space(50)
         assert not metric_pullback_check(S, r, sc.hub).accepted
+
+    def test_given_ambient_matches_enumerated(self):
+        amb = enumerate_simplex(2, 20)
+        S = restrict(amb, [parse_constraint("x1<=0.4", 3)])
+        for r in (0.0, 0.05, 0.2):
+            a = metric_pullback_check(S, r, (0.3, 0.35, 0.35))
+            b = metric_pullback_check(S, r, (0.3, 0.35, 0.35), ambient=amb)
+            assert (a.eroded, a.accepted) == (b.eroded, b.accepted)
+
+    def test_ambient_must_be_the_full_lattice(self):
+        S = restrict(enumerate_simplex(2, 20), [parse_constraint("x1<=0.4", 3)])
+        for wrong in (enumerate_simplex(2, 10), enumerate_simplex(3, 20), S):
+            with pytest.raises(InvalidArgument):
+                metric_pullback_check(S, 0.05, (0.3, 0.35, 0.35), ambient=wrong)
 
     def test_dilation_contains_deterministic_image(self):
         K = enumerate_simplex(1, 10)
@@ -330,6 +353,28 @@ class TestHdr:
         res = hdr(cloud, 0.03, 0.1, enumerate_simplex(2, 20))
         assert res.point_mass and len(res.region) == 1
 
+    @pytest.mark.parametrize("seed", [42, 3])
+    def test_shared_densities_match_separate_calls(self, seed):
+        sc = builtin_scenarios(seed=seed, n_samples=1000)["split_peak"]
+        cloud = sample_kernel(sc.spec, sc.hub)
+        lattice = enumerate_simplex(2, 80)
+        shared = hdr_regions(cloud, 0.03, (0.20, 0.05), lattice)
+        separate = [hdr(cloud, 0.03, eps, lattice) for eps in (0.20, 0.05)]
+        # the threshold rule written out on the two density arrays
+        at_samples = kde_density(cloud.samples, cloud.samples, 0.03)
+        at_grid = kde_density(cloud.samples, lattice.array, 0.03)
+        for eps, a, b in zip((0.20, 0.05), shared, separate):
+            lam = np.sort(at_samples)[math.ceil((1 - eps) * len(at_samples)) - 1]
+            assert a.lambda_eps.hex() == b.lambda_eps.hex() == float(lam).hex()
+            assert a.mass.hex() == b.mass.hex()
+            assert a.region == b.region
+            assert a.region == tuple(lattice.points[i] for i in np.flatnonzero(at_grid >= lam))
+
+    def test_shared_path_checks_every_epsilon(self):
+        cloud = sample_kernel(KernelSpec(n_samples=200, seed=1), HUB)
+        with pytest.raises(InvalidArgument):
+            hdr_regions(cloud, 0.03, (0.2, 1.0), enumerate_simplex(2, 10))
+
     def test_mass_tracks_epsilon(self):
         sc = builtin_scenarios()["gaussian"]
         cloud = sample_kernel(sc.spec, sc.hub)
@@ -437,7 +482,54 @@ class TestCure:
             wasserstein_cure(cloud, empty)
 
 
+def compare_oracle(scenario):
+    """The full-path row: the erosion set and the robust HDR region are
+    computed, then only the verdicts kept.  The hub verdict and the mass
+    are checked against point-by-point membership on the way."""
+    cloud = sample_kernel(scenario.spec, scenario.hub)
+    rad = safety_radius(cloud, scenario.hub, scenario.epsilon)
+    S_erosion = scenario.constraint_space(scenario.erosion_N)
+    erosion = metric_pullback_check(S_erosion, rad.r, scenario.hub)
+    amb = enumerate_simplex(S_erosion.n, S_erosion.N).array
+    outside = amb[[not S_erosion.contains_vector(p) for p in amb]]
+    d2 = ((outside - np.asarray(scenario.hub)) ** 2).sum(axis=1)
+    assert erosion.accepted == bool(d2.size == 0 or d2.min() > rad.r ** 2)
+    S_cure = scenario.constraint_space(scenario.cure_N)
+    check = hdr_pullback_check(cloud, S_cure, scenario.epsilon)
+    assert check.mass == np.mean([S_cure.contains_vector(s) for s in cloud.samples])
+    cure = wasserstein_cure(cloud, S_cure)
+    return ComparisonRow(
+        scenario=scenario.name, radius=rad.r,
+        radius_verdict="Safe" if erosion.accepted else "Rejected",
+        hdr_mass=check.mass, hdr_verdict="Safe" if check.verdict else "Rejected",
+        cure_mean=cure.mean_cost,
+        cure_verdict="Approved" if cure.mean_cost <= scenario.cure_budget else "Denied")
+
+
 class TestThreeWay:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["gaussian", "split_peak", "banana"]),
+           seed=st.integers(0, 2**31 - 1), n=st.integers(100, 400),
+           epsilon=st.floats(0.01, 0.5), i=st.integers(1, 3), shift=st.integers(-8, 12))
+    def test_verdict_path_matches_full_path(self, name, seed, n, epsilon, i, shift):
+        from dataclasses import replace
+
+        # caps a few sigma either side of the hub put both verdicts in reach
+        scen = builtin_scenarios(seed=seed, n_samples=n)[name]
+        b = round(scen.hub[i - 1] + shift / 100, 2)
+        scen = replace(scen, constraint=f"x{i}<={b}", epsilon=epsilon)
+        assert three_way_compare(scen) == compare_oracle(scen)
+
+    def test_enumerates_each_lattice_once(self, monkeypatch):
+        import hubspoke.stochastic as stochastic
+
+        calls = []
+        real = stochastic.enumerate_simplex
+        monkeypatch.setattr(stochastic, "enumerate_simplex",
+                            lambda *a: calls.append(a) or real(*a))
+        three_way_compare(builtin_scenarios(n_samples=200)["banana"])
+        assert calls == [(2, 50), (2, 100)]
+
     def test_default_table_pattern(self):
         rows = comparison_table(seed=42, n_samples=4000)
         verdicts = {r.scenario: (r.radius_verdict, r.hdr_verdict, r.cure_verdict)
