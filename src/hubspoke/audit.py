@@ -266,7 +266,7 @@ def workflow_b(registry: Registry, ledger: EvidenceLedger,
     every lattice point of the hub object.
     """
     base = registry.space(hub_object)
-    menu = Menu(base, base.points)
+    menu = Menu(base, np.ones(len(base), dtype=bool))
     for rid in pipeline:
         menu = action(menu, registry.relation(rid))
     new_rel = relation_from_dict(
@@ -287,18 +287,17 @@ def workflow_b(registry: Registry, ledger: EvidenceLedger,
             ok = new_rel.contains_vectors(np.asarray(e.hub), spoke)
         if not ok:
             violations.append(e.seq)
-    swept_violations = 0
+    swept_violations = None
     if full_sweep:
-        for p in base.points:
-            m = action(Menu(base, (p,)), new_rel)
-            if len(m) == 0:
-                swept_violations += 1
+        rows = np.arange(len(base))
+        swept_violations = sum(len(action(Menu(base, rows == i), new_rel)) == 0
+                               for i in rows)
     verdict = "violation" if violations else "committed"
     return ledger.append("B", verdict, relation_id=relation_def.get("id"),
                          metrics={"menu_count": len(menu),
                                   "violating_entries": violations,
                                   "reverified": len(committed),
-                                  "swept_violations": swept_violations if full_sweep else None})
+                                  "swept_violations": swept_violations})
 
 
 def workflow_c(registry: Registry, ledger: EvidenceLedger,

@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import acceptance
 from .audit import EvidenceLedger, Registry, run_workflow
 from .dots import Menu, WiringTemplate, action, apply_template
@@ -144,8 +146,8 @@ def cmd_menu(args) -> int:
         for path in args.inputs:
             with open(path, encoding="utf-8") as fh:
                 inputs.append(LatticeSpace.from_dict(json.load(fh)))
-        t = WiringTemplate.core_satellite(args.w, inputs[0])
-        menu = apply_template(t, inputs)
+        out = enumerate_simplex(inputs[0].n, inputs[0].N)
+        menu = apply_template(WiringTemplate.core_satellite(args.w, out), inputs)
     else:
         if not args.hub:
             raise InvalidArgument("menu needs --hub or --template")
@@ -159,14 +161,14 @@ def cmd_menu(args) -> int:
             ambient = enumerate_simplex(hub_dict["n"], hub_dict["N"])
             hub = restrict(ambient, [LinearConstraint.from_dict(c)
                                      for c in hub_dict.get("constraints", [])])
-        menu = Menu(hub, hub.points)
+        menu = Menu(hub, np.ones(len(hub), dtype=bool))
         for token in args.apply or []:
             menu = action(menu, _parse_apply(token, ambient))
     print(f"menu: {len(menu)} points")
     print("provenance: " + " | ".join(menu.provenance))
     if args.format == "csv":
-        for p in menu.points:
-            print(",".join(str(c / menu.space.N) for c in p.coords))
+        for row in menu.space.holdings[menu.mask].tolist():
+            print(",".join(str(c / menu.space.N) for c in row))
     return 0
 
 

@@ -1,8 +1,8 @@
 """The menu calculus: actions K . R, action laws, determinization, templates.
 
-A menu is a finite point set on a codomain lattice together with the
-provenance of the relations that produced it.  Actions never materialize
-pair sets, so desk-scale menus (thousands of points) stay cheap.
+A menu is a boolean mask over a lattice space, with the provenance of the
+relations that produced it.  An action is one `menu_mask` of the hub mask:
+it builds no pair set and no GridPoint, so desk-scale menus stay cheap.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .geometry import (
     GridPoint,
     InvalidArgument,
     LatticeSpace,
+    enumerate_simplex,
     snap_to_lattice,
 )
 from .optimize import Infeasible, ReimplMap
@@ -23,30 +24,43 @@ from .relations import Relation, build_relation, compose_vertical, diagonal
 from .transport import LawReport, MAX_WITNESSES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Menu:
-    """A reachable set of spoke portfolios, with its narrowing history."""
+    """A reachable set of spoke portfolios, with its narrowing history:
+    the points of `space` whose entries of the read-only bool `mask` are True."""
 
     space: LatticeSpace
-    points: tuple[GridPoint, ...]
+    mask: np.ndarray
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # GridPoint's field order, by key: the dataclass __lt__ would be one
-        # Python call per comparison
-        object.__setattr__(self, "points", tuple(sorted(
-            set(self.points), key=lambda p: (p.coords, p.resolution))))
+        m = np.array(self.mask)
+        if m.dtype != bool or m.shape != (len(self.space),):
+            raise InvalidArgument(f"a menu mask is a ({len(self.space)},) bool array, "
+                                  f"got {m.dtype} {m.shape}")
+        m.flags.writeable = False
+        object.__setattr__(self, "mask", m)
 
     def __len__(self):
-        return len(self.points)
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def points(self) -> tuple[GridPoint, ...]:
+        """The menu's points as GridPoints, in the space's order."""
+        return tuple(GridPoint(row, self.space.N)
+                     for row in map(tuple, self.space.holdings[self.mask].tolist()))
 
     def mask_on(self, space: LatticeSpace) -> np.ndarray:
+        """The menu as a mask over `space`; a point outside it is an error."""
+        if space.same_points(self.space):
+            return self.mask
+        rows = self.space.holdings[self.mask]
+        i = space.index_holdings(rows)
+        if (i < 0).any():
+            raise InvalidArgument(f"{rows[i < 0][0].tolist()} is not a point of this space")
         m = np.zeros(len(space), dtype=bool)
-        m[space.indices_of(self.points)] = True
+        m[i] = True
         return m
-
-    def point_set(self) -> frozenset:
-        return frozenset(p.coords for p in self.points)
 
 
 MenuLike = Union[Menu, LatticeSpace]
@@ -55,7 +69,7 @@ MenuLike = Union[Menu, LatticeSpace]
 def _as_menu(K: MenuLike) -> Menu:
     if isinstance(K, Menu):
         return K
-    return Menu(space=K, points=K.points, provenance=(K.describe(),))
+    return Menu(K, np.ones(len(K), dtype=bool), provenance=(K.describe(),))
 
 
 def action(K: MenuLike, R: Relation) -> Menu:
@@ -71,20 +85,16 @@ def action(K: MenuLike, R: Relation) -> Menu:
         raise InvalidArgument(
             "action: the menu holds points outside the relation's domain"
         ) from None
-    hit = R.menu_mask(hub_mask)
-    pts = tuple(R.codomain.points[i] for i in np.nonzero(hit)[0])
-    return Menu(space=R.codomain, points=pts,
+    return Menu(R.codomain, R.menu_mask(hub_mask),
                 provenance=menu.provenance + (R.describe(),))
 
 
 def fibers_of(K: MenuLike, R: Relation) -> dict[GridPoint, tuple[GridPoint, ...]]:
     """Per-hub fiber sets F_R(x) for x in K (materializes R's mask)."""
-    menu = _as_menu(K)
+    rows = np.flatnonzero(_as_menu(K).mask_on(R.domain))
     mask = R.mask()
-    out = {}
-    for p, i in zip(menu.points, R.domain.indices_of(menu.points)):
-        out[p] = tuple(R.codomain.points[j] for j in np.nonzero(mask[i])[0])
-    return out
+    dp, cp = R.domain.points, R.codomain.points
+    return {dp[i]: tuple(cp[j] for j in np.flatnonzero(mask[i])) for i in rows}
 
 
 def verify_action_laws(K: MenuLike, R: Relation, S: Relation,
@@ -99,47 +109,36 @@ def verify_action_laws(K: MenuLike, R: Relation, S: Relation,
     the identity projector on R's codomain).
     """
     menu = _as_menu(K)
-    results: dict[str, bool] = {}
+    results = {"closedness": True}  # finite point sets are closed by construction
     witnesses: list = []
 
+    def law(name, holds, lhs, rhs):
+        results[name] = bool(holds)
+        if not holds:
+            witnesses.append((name, lhs, rhs))
+
     menu_R = action(menu, R)
-    results["closedness"] = True  # finite point sets are closed by construction
-    results["nonempty"] = len(menu_R) > 0
-
-    ident = diagonal(menu.space)
-    unital = action(menu, ident)
-    results["unitality"] = unital.point_set() == menu.point_set()
-    if not results["unitality"]:
-        witnesses.append(("unitality", len(unital), len(menu)))
-
+    unital = action(menu, diagonal(menu.space))
+    law("unitality", np.array_equal(unital.mask, menu.mask), len(unital), len(menu))
     two_step = action(menu_R, S)
     composed = action(menu, compose_vertical(S, R))
-    results["associativity"] = two_step.point_set() == composed.point_set()
-    if not results["associativity"]:
-        witnesses.append(("associativity", len(two_step), len(composed)))
-
+    law("associativity", np.array_equal(two_step.mask, composed.mask),
+        len(two_step), len(composed))
     if wide is None:
-        from .geometry import enumerate_simplex
-
         wide = enumerate_simplex(menu.space.n, menu.space.N)
-    wide_menu = action(Menu(wide, wide.points), R)
-    results["isotonicity"] = menu_R.point_set() <= wide_menu.point_set()
-    if not results["isotonicity"]:
-        witnesses.append(("isotonicity", len(menu_R), len(wide_menu)))
-
+    wide_menu = action(wide, R)
+    law("isotonicity", not (menu_R.mask & ~wide_menu.mask).any(),
+        len(menu_R), len(wide_menu))
     proj = projector if projector is not None else diagonal(R.codomain)
     once = action(menu_R, proj)
     twice = action(once, proj)
-    screened = menu_R.point_set() & {p.coords for p in proj.codomain.points
-                                     if proj.contains(p, p)}
-    results["projector"] = (once.point_set() == screened
-                            and twice.point_set() == once.point_set())
-    if not results["projector"]:
-        witnesses.append(("projector", len(once), len(screened)))
+    fixed = np.array([proj.contains(p, p) for p in proj.codomain.points], dtype=bool)
+    screened = menu_R.mask_on(proj.codomain) & fixed
+    law("projector", np.array_equal(once.mask, screened)
+        and np.array_equal(twice.mask, once.mask), len(once), int(screened.sum()))
 
     # Non-emptiness is bookkeeping, not a law: the empty menu is a valid
     # (closed) outcome and must not fail the suite.
-    results.pop("nonempty")
     holds = all(results.values())
     results["nonempty"] = len(menu_R) > 0
     return LawReport("action_laws", holds, len(menu_R), len(wide_menu),
@@ -170,10 +169,11 @@ def determinize(domain: LatticeSpace, codomain: LatticeSpace,
 
 def determinize_relation(K: MenuLike, R: Relation, alpha: float) -> ReimplMap:
     menu = _as_menu(K)
-    fib = fibers_of(menu, R)
-    domain = LatticeSpace.from_points(menu.space.n, menu.space.N, menu.points)
-    domain = menu.space if domain.same_points(menu.space) else domain
-    return determinize(domain, R.codomain, fib, alpha)
+    domain = menu.space
+    if not menu.mask.all():
+        domain = LatticeSpace(domain.n, domain.N, (), domain.holdings[menu.mask],
+                              explicit=True)
+    return determinize(domain, R.codomain, fibers_of(menu, R), alpha)
 
 
 @dataclass(frozen=True)
@@ -210,15 +210,14 @@ def apply_template(t: WiringTemplate, inputs: Sequence[MenuLike]) -> Menu:
         out: LatticeSpace = t.params["output"]
         if core.space.n != out.n or sat.space.n != out.n:
             raise InvalidArgument("core/satellite universes must match the output")
+        # the mixes of every core and satellite point, snapped into out
         w = t.params["w"]
-        mixed = set()
-        for xc in core.points:
-            vc = xc.to_array()
-            for xs in sat.points:
-                mix = w * vc + (1.0 - w) * xs.to_array()
-                mixed.add(snap_to_lattice(mix, out.N))
-        menu = Menu(out, tuple(mixed),
-                    provenance=(f"mix(w={w})",))
+        mix = (w * core.space.array[core.mask][:, None, :]
+               + (1.0 - w) * sat.space.array[sat.mask][None, :, :])
+        snapped = [snap_to_lattice(v, out.N).coords for v in mix.reshape(-1, out.n + 1)]
+        i = out.index_holdings(np.array(snapped, dtype=np.int64).reshape(-1, out.n + 1))
+        hit = np.bincount(i[i >= 0], minlength=len(out)) > 0
+        menu = Menu(out, hit, provenance=(f"mix(w={w})",))
         screen = t.params.get("global_screen")
         if screen is not None:
             menu = action(menu, screen)

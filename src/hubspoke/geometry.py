@@ -181,9 +181,6 @@ class LinearFunctional:
     def __call__(self, point: GridPoint) -> Fraction:
         return eval_functional(self, point)
 
-    def value_at_vector(self, v: Sequence[float]) -> float:
-        return float(np.dot(self.coeff_array(), np.asarray(v, dtype=float)))
-
     def coeff_array(self) -> np.ndarray:
         return np.asarray([float(c) for c in self.coeffs], dtype=np.float64)
 

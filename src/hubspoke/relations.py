@@ -359,8 +359,8 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
 
     if kind == "fee_cap":
         tau = float(params["tau"])
-        if tau < 0:
-            raise InvalidArgument("fee cap must be non-negative")
+        if not 0 <= tau < np.inf:
+            raise InvalidArgument("fee cap must be finite and non-negative")
         fee: LinearFunctional = params["functional"]
         coeffs = fee.coeff_array()
 
@@ -370,8 +370,8 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
         stored = {"tau": tau, "functional": fee}
     elif kind == "liquidity_cap":
         alpha = float(params["alpha"])
-        if alpha < 0:
-            raise InvalidArgument("liquidity cap must be non-negative")
+        if not 0 <= alpha < np.inf:
+            raise InvalidArgument("liquidity cap must be finite and non-negative")
         illiquid = tuple(int(i) for i in params["illiquid"])
         if any(not 0 <= i < d for i in illiquid):
             raise InvalidArgument(f"illiquid indices {illiquid} out of range")
@@ -384,8 +384,8 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
         caps = np.asarray(params["caps"], dtype=np.float64)
         if caps.shape != (d,):
             raise InvalidArgument(f"need one cap per asset ({d}), got {caps.shape}")
-        if np.any(caps < 0):
-            raise InvalidArgument("position caps must be non-negative")
+        if not np.all((caps >= 0) & (caps < np.inf)):
+            raise InvalidArgument("position caps must be finite and non-negative")
 
         def screen(Y, caps=caps):
             return (Y <= caps + FLOAT_TOL).all(axis=1)
@@ -393,11 +393,11 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
         stored = {"caps": caps}
     else:  # maintenance
         kappa = float(params["kappa"])
-        if kappa < 0:
-            raise InvalidArgument("maintenance budget must be non-negative")
+        if not 0 <= kappa < np.inf:
+            raise InvalidArgument("maintenance budget must be finite and non-negative")
         costs = np.asarray(params["costs"], dtype=np.float64)
-        if costs.shape != (d,):
-            raise InvalidArgument(f"need one cost per asset ({d}), got {costs.shape}")
+        if costs.shape != (d,) or not np.isfinite(costs).all():
+            raise InvalidArgument(f"need one finite cost per asset ({d}), got {costs}")
 
         def screen(Y, costs=costs, kappa=kappa):
             return Y @ costs <= kappa + FLOAT_TOL

@@ -198,6 +198,50 @@ class TestWorkflowB:
         assert entry.metrics["violating_entries"] == [1]
 
 
+    @pytest.mark.parametrize("rel", [
+        {"kind": "fee_cap", "params": {"tau": 6.0, "functional": FEE.to_dict()},
+         "domain": "amb", "codomain": "amb"},
+        {"kind": "turnover", "params": {"kappa": 0.2},
+         "domain": "amb", "codomain": "low"},
+    ])
+    def test_full_sweep_counts_empty_fibers(self, tmp_path, rel):
+        reg = seeded_registry()
+        reg.put("objects", "low", {
+            "n": 2, "N": 20, "constraints": [parse_constraint("x3>=0.5", 3).to_dict()]})
+        led = EvidenceLedger(str(tmp_path / "l.jsonl"), clock=FixedClock())
+        entry = workflow_b(reg, led, dict(rel, id="r_new"), hub_object="hub",
+                           pipeline=["r_track"], full_sweep=True)
+        # integer oracle at 1/20: the hub is h1 <= 12, tracking 0.1 is a
+        # squared distance <= 4 units, the fee cap 10 h1 + 5 h2 <= 120, and
+        # turnover 0.2 an L1 distance <= 4 units into h3 >= 10
+        pts = [(a, b, 20 - a - b) for a in range(21) for b in range(21 - a)]
+        hub = [x for x in pts if x[0] <= 12]
+        if rel["kind"] == "fee_cap":
+            codomain = pts
+            def related(x, y):
+                return x == y and 10 * y[0] + 5 * y[1] <= 120
+        else:
+            codomain = [y for y in pts if y[2] >= 10]
+            def related(x, y):
+                return sum(abs(u - v) for u, v in zip(x, y)) <= 4
+        tracked = [y for y in pts
+                   if any(sum((u - v) ** 2 for u, v in zip(x, y)) <= 4 for x in hub)]
+        swept = sum(not any(related(x, y) for y in codomain) for x in hub)
+        menu = sum(any(related(x, y) for x in tracked) for y in codomain)
+        assert 0 < swept < len(hub)
+        assert entry.metrics["swept_violations"] == swept
+        assert entry.metrics["menu_count"] == menu
+
+    def test_swept_violations_only_on_full_sweep(self, tmp_path):
+        reg = seeded_registry()
+        led = EvidenceLedger(str(tmp_path / "l.jsonl"), clock=FixedClock())
+        fee_def = {"kind": "fee_cap",
+                   "params": {"tau": 6.0, "functional": FEE.to_dict()},
+                   "domain": "amb", "codomain": "amb"}
+        entry = workflow_b(reg, led, fee_def, hub_object="hub")
+        assert entry.metrics["swept_violations"] is None
+
+
 class TestWorkflowC:
     def test_build_and_register(self, tmp_path):
         reg = seeded_registry()

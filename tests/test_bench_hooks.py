@@ -31,7 +31,7 @@ def test_tracer_installs_counts_and_uninstalls():
         tracer.install(hs)
         amb = geometry.enumerate_simplex(2, 10)
         hub = geometry.restrict(amb, [geometry.parse_constraint("x1<=0.5", 3)])
-        menu = hs.dots.Menu(hub, hub.points)
+        menu = hs.dots.Menu(hub, np.ones(len(hub), dtype=bool))
         assert menu.mask_on(amb).sum() == len(hub) == 51
         assert geometry.LatticeSpace.from_dict(hub.to_dict()).same_points(hub)
     finally:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from hubspoke.cli import main
-from hubspoke.geometry import parse_constraint
+from hubspoke.geometry import GridPoint, parse_constraint
 
 
 def run(capsys, *argv):
@@ -162,6 +163,10 @@ class TestMenuAndMaps:
         ["--apply", "liquidity_cap:0.3"],
         ["--apply", "bogus:1"],
         ["--apply", "track:nan"],
+        ["--apply", "fee_cap:nan"],
+        ["--apply", "fee_cap:inf"],
+        ["--apply", "liquidity_cap:nan:2"],
+        ["--apply", "liquidity_cap:inf:2"],
     ])
     def test_menu_bad_apply_exit_two(self, capsys, tmp_path, argv):
         path = tmp_path / "hub.json"
@@ -206,6 +211,46 @@ class TestMenuAndMaps:
         code, out = run(capsys, "menu", "--template", "core-satellite",
                         "--w", "1.0", "--inputs", str(a), str(a))
         assert code == 0 and "menu: 66 points" in out
+
+    def _worked_example_hub(self, tmp_path):
+        path = tmp_path / "hub.json"
+        path.write_text(json.dumps({"n": 2, "N": 100, "constraints": [
+            parse_constraint("x1<=0.6", 3).to_dict()]}))
+        return str(path)
+
+    def test_menu_csv_bytes_pinned(self, capsys, tmp_path):
+        code, out = run(capsys, "menu", "--hub", self._worked_example_hub(tmp_path),
+                        "--apply", "track:0.05", "--apply", "fee_cap:6",
+                        "--format", "csv")
+        assert code == 0 and out.count("\n") == 3513
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a8c731e5c38043e5b7c266d812d38cb738a5b672d9cd08f8b0f587ff0aced6a2")
+
+    def test_menu_count_builds_no_grid_point(self, capsys, tmp_path, monkeypatch):
+        built = []
+        real = GridPoint.__post_init__
+        monkeypatch.setattr(GridPoint, "__post_init__",
+                            lambda self: built.append(self.coords) or real(self))
+        code, out = run(capsys, "menu", "--hub", self._worked_example_hub(tmp_path),
+                        "--apply", "track:0.05", "--apply", "fee_cap:6")
+        assert code == 0 and "menu: 3511 points" in out
+        assert built == []
+        GridPoint((1, 0, 0), 1)
+        assert built == [(1, 0, 0)]
+
+    def test_core_satellite_csv_bytes_pinned(self, capsys, tmp_path):
+        # x1 <= 0.6 mixed with x2 <= 0.5 at 1/10: the menu lives on the
+        # ambient lattice, 7 of its 60 points beyond the core's cap
+        paths = []
+        for name, cap in (("core", "x1<=0.6"), ("sat", "x2<=0.5")):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"n": 2, "N": 10, "constraints": [
+                parse_constraint(cap, 3).to_dict()]}))
+        code, out = run(capsys, "menu", "--template", "core-satellite", "--w", "0.5",
+                        "--inputs", *map(str, paths), "--format", "csv")
+        assert code == 0 and "menu: 60 points" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "45ebf299c7725104e634e8303a9c2898ff92429e1f7e0ea5728912648c8843d7")
 
     def test_build_map(self, capsys, tmp_path):
         spec = {"gA": [[1.0, 0.0]], "gB": [[1.0, 0.0]], "p": 2}

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hubspoke.geometry import (
     GridPoint,
     InvalidArgument,
+    LatticeSpace,
     LinearFunctional,
     enumerate_simplex,
     parse_constraint,
@@ -53,8 +56,43 @@ class TestAction:
     def test_menu_points_in_gridpoint_order(self, seed, n, N):
         K = enumerate_simplex(n, N)
         rng = np.random.default_rng(seed)
-        picked = [K.points[i] for i in rng.integers(0, len(K), size=2 * len(K))]
-        assert Menu(K, picked).points == tuple(sorted(set(picked)))
+        m = np.zeros(len(K), dtype=bool)
+        m[rng.integers(0, len(K), size=2 * len(K))] = True
+        menu = Menu(K, m)
+        assert menu.points == tuple(sorted({K.points[i] for i in np.flatnonzero(m)}))
+        assert len(menu) == len(menu.points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 3), N=st.integers(1, 8),
+           cap=st.integers(0, 8), p=st.floats(0.0, 1.0))
+    def test_mask_on_matches_dict_oracle(self, seed, n, N, cap, p):
+        amb = enumerate_simplex(n, N)
+        sub = restrict(amb, [parse_constraint(f"x1<={min(cap, N)}/{N}", n + 1)])
+        copy = LatticeSpace.from_points(n, N, sub.points)
+        rng = np.random.default_rng(seed)
+        for src, dst in itertools.product((amb, sub, copy), repeat=2):
+            m = rng.random(len(src)) < p
+            menu = Menu(src, m)
+            index = {q.coords: i for i, q in enumerate(dst.points)}
+            picked = [q.coords for q, keep in zip(src.points, m) if keep]
+            if all(c in index for c in picked):
+                want = np.zeros(len(dst), dtype=bool)
+                want[[index[c] for c in picked]] = True
+                assert np.array_equal(menu.mask_on(dst), want)
+            else:
+                with pytest.raises(InvalidArgument, match="not a point of this space"):
+                    menu.mask_on(dst)
+
+    def test_mask_is_a_read_only_copy_of_the_space_shape(self):
+        K = enumerate_simplex(2, 4)
+        m = np.zeros(len(K), dtype=bool)
+        menu = Menu(K, m)
+        m[0] = True
+        assert len(menu) == 0 and not menu.mask.flags.writeable
+        for bad in (np.ones(len(K) - 1, dtype=bool), np.ones(len(K)),
+                    list(K.points), np.ones((len(K), 1), dtype=bool)):
+            with pytest.raises(InvalidArgument):
+                Menu(K, bad)
 
     def test_empty_relation_gives_empty_menu(self):
         K = enumerate_simplex(1, 6)
@@ -67,7 +105,7 @@ class TestAction:
             K, K, ObjectiveSpec(gA=np.array([[1.0, 0, 0]]),
                                 gB=np.array([[1.0, 0, 0]]), p=2))
         menu = action(K, graph_of(f))
-        assert menu.point_set() == {p.coords for p in f.image_points()}
+        assert {p.coords for p in menu.points} == {p.coords for p in f.image_points()}
 
     def test_space_mismatch(self):
         K1 = enumerate_simplex(1, 5)
@@ -94,9 +132,10 @@ class TestActionLaws:
         amb = enumerate_simplex(2, 12)
         cap = build_relation(amb, amb, "fee_cap", tau=7, functional=FEE)
         liq = build_relation(amb, amb, "liquidity_cap", alpha=0.5, illiquid=(0,))
-        lhs = action(action(Menu(amb, amb.points), cap), liq)
-        rhs = action(action(Menu(amb, amb.points), liq), cap)
-        assert lhs.point_set() == rhs.point_set()
+        everything = Menu(amb, np.ones(len(amb), dtype=bool))
+        lhs = action(action(everything, cap), liq)
+        rhs = action(action(everything, liq), cap)
+        assert {p.coords for p in lhs.points} == {p.coords for p in rhs.points}
 
     def test_projector_double_application(self):
         amb = enumerate_simplex(2, 14)
@@ -104,7 +143,7 @@ class TestActionLaws:
         cap = build_relation(amb, amb, "fee_cap", tau=6, functional=FEE)
         once = action(hub, cap)
         twice = action(once, cap)
-        assert once.point_set() == twice.point_set()
+        assert {p.coords for p in once.points} == {p.coords for p in twice.points}
 
 
 class TestDeterminize:
@@ -160,7 +199,7 @@ class TestTemplates:
         sat = restrict(amb, [parse_constraint("x2<=0.3", 3)])
         t = WiringTemplate.core_satellite(1.0, amb)
         menu = apply_template(t, [core, sat])
-        assert menu.point_set() == {p.coords for p in core.points}
+        assert {p.coords for p in menu.points} == {p.coords for p in core.points}
 
     def test_half_mix_matches_double_loop_oracle(self):
         amb = enumerate_simplex(2, 10)
@@ -173,7 +212,20 @@ class TestTemplates:
                 scaled = np.rint(mix * 10)
                 if abs((mix * 10 - scaled)).max() < 1e-9:
                     oracle.add(tuple(int(v) for v in scaled))
-        assert menu.point_set() == oracle
+        assert {p.coords for p in menu.points} == oracle
+
+    def test_restricted_output_keeps_only_its_points(self):
+        # the mixes of x1 <= 0.6 and x2 <= 0.5 at 1/10 reach 7 points with
+        # x1 > 0.6; an output space of x1 <= 0.6 keeps the other 53
+        amb = enumerate_simplex(2, 10)
+        core = restrict(amb, [parse_constraint("x1<=0.6", 3)])
+        sat = restrict(amb, [parse_constraint("x2<=0.5", 3)])
+        full = apply_template(WiringTemplate.core_satellite(0.5, amb), [core, sat])
+        kept = apply_template(WiringTemplate.core_satellite(0.5, core), [core, sat])
+        assert len(full) == 60 and sum(p.coords[0] > 6 for p in full.points) == 7
+        assert kept.space is core
+        assert ({p.coords for p in kept.points}
+                == {p.coords for p in full.points if p.coords[0] <= 6})
 
     def test_global_screen_applies(self):
         amb = enumerate_simplex(2, 10)

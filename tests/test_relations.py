@@ -79,6 +79,20 @@ class TestBuild:
         with pytest.raises(InvalidArgument):
             build_relation(amb, amb, "turnover", kappa=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("kind, params", [
+        ("fee_cap", lambda v: {"tau": v, "functional": FEE}),
+        ("liquidity_cap", lambda v: {"alpha": v, "illiquid": (2,)}),
+        ("position_caps", lambda v: {"caps": (1.0, v, 1.0)}),
+        ("maintenance", lambda v: {"kappa": v, "costs": (1.0, 1.0, 1.0)}),
+        ("maintenance", lambda v: {"kappa": 1.0, "costs": (1.0, v, 1.0)}),
+    ], ids=["tau", "alpha", "caps", "kappa", "costs"])
+    def test_projector_parameters_must_be_finite(self, kind, params, bad):
+        # an infinite cap is refused, not read as no cap
+        amb = enumerate_simplex(2, 5)
+        with pytest.raises(InvalidArgument, match="finite"):
+            build_relation(amb, amb, kind, **params(bad))
+
     def test_resolution_mismatch_rejected(self):
         a, b = enumerate_simplex(1, 5), enumerate_simplex(1, 10)
         with pytest.raises(InvalidArgument):
@@ -372,7 +386,7 @@ class TestStencilDifferential:
             R = dagger(R)
         ref = _streamed(R)
         rng = np.random.default_rng(seed)
-        menu = Menu(R.domain, [p for p in R.domain.points if rng.random() < 0.3])
+        menu = Menu(R.domain, rng.random(len(R.domain)) < 0.3)
         stencil = R.stencil
         if stencil is not None:
             assert not stencil.sum(axis=1).any()
@@ -412,7 +426,7 @@ class TestStencilDifferential:
         K = enumerate_simplex(2, 5)
         R = build_relation(K, K, "track", epsilon=1.5)
         assert R.stencil_rule is not None and R.stencil is None
-        hub = Menu(K, K.points[:3])
+        hub = Menu(K, np.arange(len(K)) < 3)
         assert np.array_equal(_menu_of(R, hub), _menu_of(_streamed(R), hub))
         assert R.mask().all()
         small = restrict(K, [parse_constraint("x1>=1", 3)])
@@ -438,7 +452,7 @@ class TestScreenDifferential:
         else:
             build = lambda: build_relation(domain, codomain, kind, **params)  # noqa: E731
         rng = np.random.default_rng(seed)
-        menu = Menu(domain, [p for p in domain.points if rng.random() < 0.5])
+        menu = Menu(domain, rng.random(len(domain)) < 0.5)
 
         screened = build()
         assert screened.screen is not None and screened._mask is None
@@ -449,8 +463,8 @@ class TestScreenDifferential:
         via_test = action(menu, _streamed(screened))
         oracle = {p.coords for p in menu.points
                   if contains(codomain, p) and exact(p.coords, N)}
-        assert (via_screen.point_set() == via_mask.point_set()
-                == via_test.point_set() == oracle)
+        assert ({p.coords for p in via_screen.points} == {p.coords for p in via_mask.points}
+                == {p.coords for p in via_test.points} == oracle)
         assert np.array_equal(masked.mask(), _streamed(screened).mask())
 
 
