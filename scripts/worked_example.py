@@ -18,7 +18,7 @@ from hubspoke.geometry import (
     parse_constraint,
     restrict,
 )
-from hubspoke.relations import build_relation, diagonal, graph_of
+from hubspoke.relations import build_relation
 
 FEE = LinearFunctional((10, 5, 0), units="bps")
 
@@ -42,7 +42,7 @@ def main():
     print(f"determinized map: {len(hub)} hub points -> "
           f"min-norm spokes (sampled ||y||^2: {np.round(norms, 3).tolist()})")
     inside = all(track.contains_vectors(x.to_array(), img)
-                 for x, img in graph_of(f).graph_pairs)
+                 for x, img in zip(f.domain.points, f.images))
     print(f"graph of the selection stays inside the tracking relation: {inside}")
 
     amb20 = enumerate_simplex(2, 20)

@@ -265,14 +265,8 @@ class LatticeSpace:
         return out
 
     def index_vectors(self, V: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
-        """Point index of each weight-vector row of V, or -1: a row v denotes
-        the lattice point rint(vN) iff |rint(vN)/N - v|_inf <= tol."""
-        V = np.asarray(V, dtype=float)
-        C = np.rint(V * self.N)
-        with np.errstate(invalid="ignore"):       # inf - inf in a non-finite row
-            ok = ((np.abs(C / self.N - V).max(axis=1, initial=0.0) <= tol)
-                  & (C >= 0).all(axis=1) & (C <= self.N).all(axis=1))
-        return self.index_holdings(np.where(ok[:, None], C, -1).astype(np.int64))
+        """Point index of each weight-vector row of V, or -1 (see lattice_rows)."""
+        return self.index_holdings(lattice_rows(V, self.N, tol)[0])
 
     def indices_of(self, points: Iterable[GridPoint]) -> np.ndarray:
         """Point indices of grid points; a point not in the space is an error."""
@@ -334,27 +328,44 @@ class LatticeSpace:
     def from_dict(cls, d: dict) -> "LatticeSpace":
         constraints = [LinearConstraint.from_dict(c) for c in d.get("constraints", [])]
         if "points" in d:
-            pts = [GridPoint(tuple(int(c) for c in row), d["N"]) for row in d["points"]]
-            return cls.from_points(d["n"], d["N"], pts, constraints)
+            return cls._from_rows(d["n"], d["N"], d["points"], constraints)
         space = enumerate_simplex(d["n"], d["N"])
         return restrict(space, constraints) if constraints else space
 
     @classmethod
-    def from_points(cls, n: int, N: int,
-                    points: Iterable[GridPoint],
+    def from_points(cls, n: int, N: int, points: Iterable[GridPoint],
                     constraints: Iterable[LinearConstraint] = ()) -> "LatticeSpace":
-        pts = tuple(points)
-        for p in pts:
-            if p.dimension != n or p.resolution != N:
-                raise InvalidArgument(f"{p} does not live on the ({n}, {N}) lattice")
+        return cls._from_rows(n, N, [p.coords for p in points], constraints)
+
+    @classmethod
+    def _from_rows(cls, n: int, N: int, rows,
+                   constraints: Iterable[LinearConstraint]) -> "LatticeSpace":
+        """The explicit space of the given holdings rows, in any order and multiplicity."""
+        try:
+            H = np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)
+        except (TypeError, ValueError, OverflowError):
+            H = None
+        if H is None or (H < 0).any() or (H.sum(axis=1) != N).any():
+            raise InvalidArgument(f"points of the ({n}, {N}) lattice must be rows of "
+                                  f"{n + 1} non-negative integer holdings summing to {N}")
         # np.unique sorts the rows lexicographically, as sorted(set(pts)) would
-        H = np.unique(np.array([p.coords for p in pts], dtype=np.int64).reshape(-1, n + 1),
-                      axis=0)
-        return cls(n=n, N=N, constraints=tuple(constraints), holdings=H, explicit=True)
+        return cls(n=n, N=N, constraints=tuple(constraints),
+                   holdings=np.unique(H, axis=0), explicit=True)
 
     def describe(self) -> str:
         cons = "; ".join(str(c) for c in self.constraints) or "none"
         return f"Delta^{self.n} at 1/{self.N} ({len(self)} points, constraints: {cons})"
+
+
+def lattice_rows(V: np.ndarray, N: int, tol: float = FLOAT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(M, d) int64 holdings and (M,) bool for weight-vector rows V: a row v
+    denotes the lattice holdings rint(vN) iff |rint(vN)/N - v|_inf <= tol
+    and 0 <= rint(vN) <= N; rows that denote none get holdings -1."""
+    V = np.asarray(V, dtype=float)
+    C = np.rint(V * N)
+    with np.errstate(invalid="ignore"):       # inf - inf in a non-finite row
+        ok = ((np.abs(C / N - V) <= tol) & (C >= 0) & (C <= N)).all(axis=1)
+    return np.where(ok[:, None], C, -1).astype(np.int64), ok
 
 
 def expected_simplex_size(n: int, N: int) -> int:

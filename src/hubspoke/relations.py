@@ -2,12 +2,15 @@
 
 A relation is a set of pairs with one membership rule, `test(X, Y)`: for
 (P, d) and (Q, d) arrays of weight vectors it returns the (P, Q) boolean
-matrix of member pairs.  Formula kinds (tracking, turnover, the projector
-screens) test at an absolute tolerance of 1e-9, so off-lattice images of
-maps can be tested too.  Relations given by a finite pair set are backed
-by their incidence mask (`Relation.from_mask`): a vector off the lattice
-or off the space is never a member.  Single-pair membership is derived
-from `test`, the pair set from the incidence mask.
+matrix of member pairs.  Tracking and turnover test at an absolute
+tolerance of 1e-9, so off-lattice images of maps can be tested too.  A
+projector's screen is a tuple of exact linear constraints: on every row
+that denotes a lattice point (the rule of `lattice_rows`) it is decided
+in integer arithmetic, the same verdict its mask gives, and only rows
+that leave the lattice are tested within 1e-9.  Relations given by a
+finite pair set are backed by their incidence mask (`Relation.from_mask`):
+a vector off the lattice or off the space is never a member.  Single-pair
+membership is derived from `test`, the pair set from the incidence mask.
 
 On the lattice, a translation-invariant relation -- tracking with
 identity attributes, turnover, and the diagonal projectors -- is a
@@ -33,7 +36,9 @@ from .geometry import (
     GridPoint,
     InvalidArgument,
     LatticeSpace,
+    LinearConstraint,
     LinearFunctional,
+    lattice_rows,
 )
 
 # Guards on materialization: the boolean incidence mask is cheap (one byte
@@ -48,7 +53,6 @@ _CHUNK = 256
 _SCATTER_PAIRS = 1 << 16
 
 Test = Callable[[np.ndarray, np.ndarray], np.ndarray]
-Screen = Callable[[np.ndarray], np.ndarray]
 # (r, keep): every offset of the stencil has |delta_i| <= r, and keep(D)
 # selects the stencil's rows among (k, d) integer offsets D with sum 0.
 StencilRule = tuple[int, Callable[[np.ndarray], np.ndarray]]
@@ -85,8 +89,9 @@ class Relation:
 
     `kind` and `params` identify the defining formula.  `test(X, Y)` is the
     membership rule on weight-vector arrays (see the module docstring).
-    `screen(Y)`, set on projectors and the diagonal, is the closed screen E
-    of a relation {(y, y): y in E}.  `mask`, when given, is the incidence
+    `screen`, set on projectors and the diagonal, is the tuple of linear
+    constraints (empty for the diagonal) whose closed region E gives a
+    relation {(y, y): y in E}.  `mask`, when given, is the incidence
     matrix over the two point sets and agrees with `test` on them.
     `stencil_rule`, set on translation-invariant kinds, defines the integer
     offset stencil D with which, on the two point sets, (x, y) is a member
@@ -96,7 +101,7 @@ class Relation:
 
     def __init__(self, domain: LatticeSpace, codomain: LatticeSpace,
                  kind: str, params: dict, test: Test,
-                 screen: Optional[Screen] = None,
+                 screen: Optional[tuple[LinearConstraint, ...]] = None,
                  mask: Optional[np.ndarray] = None,
                  stencil_rule: Optional[StencilRule] = None):
         if domain.N != codomain.N:
@@ -133,6 +138,14 @@ class Relation:
             return out
 
         return cls(domain, codomain, kind, params or {}, test, mask=mask)
+
+    @cached_property
+    def _passes(self) -> np.ndarray:
+        """(|codomain|,) bool: the screen's exact verdict on each codomain point."""
+        out = np.ones(len(self.codomain), dtype=bool)
+        for c in self.screen:
+            out &= c.satisfied_by_holdings(self.codomain.holdings, self.codomain.N)
+        return out
 
     # -- the integer stencil -------------------------------------------------
 
@@ -184,8 +197,8 @@ class Relation:
             if self.stencil is not None:
                 for i, j in self._scatter(np.arange(len(X))):
                     out[i, j] = True
-                if self.screen is not None:
-                    out &= self.screen(Y)
+                if self.screen:
+                    out &= self._passes
             else:
                 # chunk rows so the (P, Q, d) broadcast intermediates stay small
                 step = max(1, 2_000_000 // max(len(Y), 1))
@@ -238,7 +251,7 @@ class Relation:
         if self.stencil is not None:
             for _, j in self._scatter(np.flatnonzero(hub_mask)):
                 hit[j] = True
-            return hit if self.screen is None else hit & self.screen(Y)
+            return hit & self._passes if self.screen else hit
         X = self.domain.array[hub_mask]
         if len(X):
             for start in range(0, len(Y), _CHUNK):
@@ -257,15 +270,6 @@ class Relation:
         return f"Relation<{self.describe()}>"
 
 
-class MapAsRelation(Relation):
-    """The graph of a re-implementation map, as a functional relation."""
-
-    def __init__(self, *args, graph_pairs=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        # (GridPoint, image-vector) pairs; images may sit off-lattice.
-        self.graph_pairs = graph_pairs
-
-
 # -- constructors -------------------------------------------------------------
 
 
@@ -279,9 +283,10 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
     liquidity_cap(alpha, illiquid)   projector {(y,y): sum_{i in I} y_i <= alpha}
     position_caps(caps)         projector {(y,y): y_i <= c_i}
     maintenance(kappa, costs)   projector {(y,y): sum tau_i y_i <= kappa}
-    custom(mask_fn | predicate) mask_fn(X, Y) is the vectorized rule, used
-                                as `test`; a predicate(x, y) given alone is
-                                lifted pair by pair
+    custom(mask_fn)             mask_fn(X, Y) is the vectorized rule, used
+                                as `test`
+
+    A projector's screen is exact on lattice points (module docstring).
     """
     if kind == "track":
         eps = float(params["epsilon"])
@@ -331,28 +336,17 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
         return _projector(domain, codomain, kind, params)
 
     if kind == "custom":
-        test = params.get("mask_fn") or _lift(params["predicate"])
-        return Relation(domain, codomain, "custom", params, test)
+        if params.get("mask_fn") is None:
+            raise InvalidArgument("a custom relation needs a vectorized mask_fn(X, Y); "
+                                  "per-pair predicates are not supported")
+        return Relation(domain, codomain, "custom", params, params["mask_fn"])
 
     raise InvalidArgument(f"unknown relation kind {kind!r}")
 
 
-def _lift(predicate: Callable[[np.ndarray, np.ndarray], bool]) -> Test:
-    """A pairwise predicate as a test, evaluated one pair at a time."""
-
-    def test(X, Y):
-        out = np.zeros((len(X), len(Y)), dtype=bool)
-        for i, x in enumerate(X):
-            for j, y in enumerate(Y):
-                out[i, j] = bool(predicate(x, y))
-        return out
-
-    return test
-
-
 def _projector(domain: LatticeSpace, codomain: LatticeSpace,
                kind: str, params: dict) -> Relation:
-    """Diagonal relations {(y, y): y in E} for a closed screen E."""
+    """Diagonal relations {(y, y): y in E} for a screen E of linear constraints."""
     if domain.n != codomain.n:
         raise InvalidArgument("projectors are diagonal: spaces must share assets")
     d = codomain.n + 1
@@ -362,11 +356,7 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
         if not 0 <= tau < np.inf:
             raise InvalidArgument("fee cap must be finite and non-negative")
         fee: LinearFunctional = params["functional"]
-        coeffs = fee.coeff_array()
-
-        def screen(Y, coeffs=coeffs, tau=tau):
-            return Y @ coeffs <= tau + FLOAT_TOL
-
+        screen = (LinearConstraint(fee.coeffs, tau),)
         stored = {"tau": tau, "functional": fee}
     elif kind == "liquidity_cap":
         alpha = float(params["alpha"])
@@ -375,10 +365,8 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
         illiquid = tuple(int(i) for i in params["illiquid"])
         if any(not 0 <= i < d for i in illiquid):
             raise InvalidArgument(f"illiquid indices {illiquid} out of range")
-
-        def screen(Y, idx=illiquid, alpha=alpha):
-            return Y[:, list(idx)].sum(axis=1) <= alpha + FLOAT_TOL
-
+        # an index listed twice counts twice, as in sum_{i in I} y_i
+        screen = (LinearConstraint(tuple(illiquid.count(i) for i in range(d)), alpha),)
         stored = {"alpha": alpha, "illiquid": illiquid}
     elif kind == "position_caps":
         caps = np.asarray(params["caps"], dtype=np.float64)
@@ -386,10 +374,8 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
             raise InvalidArgument(f"need one cap per asset ({d}), got {caps.shape}")
         if not np.all((caps >= 0) & (caps < np.inf)):
             raise InvalidArgument("position caps must be finite and non-negative")
-
-        def screen(Y, caps=caps):
-            return (Y <= caps + FLOAT_TOL).all(axis=1)
-
+        screen = tuple(LinearConstraint(tuple(int(j == i) for j in range(d)), cap)
+                       for i, cap in enumerate(caps.tolist()))
         stored = {"caps": caps}
     else:  # maintenance
         kappa = float(params["kappa"])
@@ -398,14 +384,16 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
         costs = np.asarray(params["costs"], dtype=np.float64)
         if costs.shape != (d,) or not np.isfinite(costs).all():
             raise InvalidArgument(f"need one finite cost per asset ({d}), got {costs}")
-
-        def screen(Y, costs=costs, kappa=kappa):
-            return Y @ costs <= kappa + FLOAT_TOL
-
+        screen = (LinearConstraint(tuple(costs.tolist()), kappa),)
         stored = {"kappa": kappa, "costs": costs}
 
-    def test(X, Y, screen=screen):
-        return _same(X, Y) & screen(Y)[None, :]
+    def test(X, Y, N=codomain.N):
+        # exact on the rows that denote lattice holdings, within 1e-9 elsewhere
+        H, on = lattice_rows(Y, N)
+        passes = np.ones(len(Y), dtype=bool)
+        for c in screen:
+            passes &= np.where(on, c.satisfied_by_holdings(H, N), c.satisfied_by_rows(Y))
+        return _same(X, Y) & passes[None, :]
 
     return Relation(domain, codomain, kind, stored, test, screen=screen,
                     stencil_rule=_ORIGIN)
@@ -420,8 +408,7 @@ def relation_from_dict(domain: LatticeSpace, codomain: LatticeSpace, d: dict) ->
 
 def diagonal(space: LatticeSpace) -> Relation:
     """The vertical identity Delta_K."""
-    return Relation(space, space, "diagonal", {}, _same,
-                    screen=lambda Y: np.ones(len(Y), dtype=bool),
+    return Relation(space, space, "diagonal", {}, _same, screen=(),
                     stencil_rule=_ORIGIN)
 
 
@@ -494,7 +481,7 @@ def fiber(R: Relation, x: GridPoint) -> tuple[GridPoint, ...]:
     return tuple(R.codomain.points[j] for j in np.nonzero(row)[0])
 
 
-def graph_of(f) -> MapAsRelation:
+def graph_of(f) -> Relation:
     """Graph(f) as a vertical morphism.
 
     Every image must satisfy the codomain's membership predicate within
@@ -516,8 +503,7 @@ def graph_of(f) -> MapAsRelation:
         out[i >= 0] = _same(images[i[i >= 0]], Y)
         return out
 
-    return MapAsRelation(domain, codomain, "graph", {"map": getattr(f, "name", "f")},
-                         test, graph_pairs=tuple(zip(domain.points, images)))
+    return Relation(domain, codomain, "graph", {"map": getattr(f, "name", "f")}, test)
 
 
 def two_cell_exists(f, g, R: Relation, S: Relation) -> bool:

@@ -160,6 +160,7 @@ class TestMenuAndMaps:
         ["--apply", "track"],
         ["--apply", "track:abc"],
         ["--apply", "fee_cap:6:1,x,0"],
+        ["--apply", "fee_cap:6:1,2"],
         ["--apply", "liquidity_cap:0.3"],
         ["--apply", "bogus:1"],
         ["--apply", "track:nan"],
@@ -237,6 +238,34 @@ class TestMenuAndMaps:
         assert built == []
         GridPoint((1, 0, 0), 1)
         assert built == [(1, 0, 0)]
+
+    def test_explicit_hub_builds_no_grid_point(self, capsys, tmp_path, monkeypatch):
+        from hubspoke.geometry import enumerate_simplex
+
+        path = tmp_path / "hub.json"
+        points = enumerate_simplex(2, 100).holdings[::5][:900].tolist()
+        path.write_text(json.dumps({"n": 2, "N": 100, "constraints": [], "points": points}))
+        built = []
+        real = GridPoint.__post_init__
+        monkeypatch.setattr(GridPoint, "__post_init__",
+                            lambda self: built.append(self.coords) or real(self))
+        code, out = run(capsys, "menu", "--hub", str(path), "--apply", "fee_cap:6")
+        assert code == 0 and out.startswith("menu: ")
+        assert built == []
+
+    @pytest.mark.parametrize("points", [
+        [[1, 0, 1], [-1, 2, 1]],        # a negative holding
+        [[1, 0, 1], [1, 1, 1]],         # a row summing to 3, not 2
+        [[1, 1], [2, 0]],               # two holdings, not three
+        [[1, 0, 1], [2, 0]],            # ragged rows
+    ])
+    def test_malformed_points_hub_exit_two(self, capsys, tmp_path, points):
+        path = tmp_path / "hub.json"
+        path.write_text(json.dumps({"n": 2, "N": 2, "points": points}))
+        code = main(["menu", "--hub", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_core_satellite_csv_bytes_pinned(self, capsys, tmp_path):
         # x1 <= 0.6 mixed with x2 <= 0.5 at 1/10: the menu lives on the

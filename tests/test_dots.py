@@ -188,7 +188,7 @@ class TestDeterminize:
         amb = enumerate_simplex(1, 10)
         R = build_relation(amb, amb, "turnover", kappa=0.3)
         f = determinize_relation(amb, R, alpha=1.0)
-        for x, img in graph_of(f).graph_pairs:
+        for x, img in zip(f.domain.points, f.images):
             assert R.contains_vectors(x.to_array(), img)
 
 
@@ -278,7 +278,6 @@ class TestDotsTransportBridge:
         coeffs = FEE.coeff_array()
         fee_lift = build_relation(
             hub, amb, "custom",
-            predicate=lambda x, y: float(y @ coeffs) <= 6 + 1e-9,
             mask_fn=lambda X, Y: np.broadcast_to((Y @ coeffs <= 6 + 1e-9)[None, :],
                                                  (len(X), len(Y))).copy())
         from hubspoke.relations import intersect

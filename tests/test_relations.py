@@ -251,7 +251,7 @@ class TestGraph:
         bary = ReimplMap(K, K, "affine", matrix=np.zeros((3, 3)),
                          offset=np.full(3, 1 / 3), name="const")
         g = graph_of(bary)
-        seconds = {tuple(np.round(img, 9)) for _, img in g.graph_pairs}
+        seconds = {tuple(np.round(img, 9)) for _, img in zip(g.domain.points, bary.images)}
         assert len(seconds) == 1
 
     def test_map_not_into_codomain(self):
@@ -503,17 +503,108 @@ class TestFromMask:
             Relation.from_mask(K, K, np.zeros((3, 4), dtype=bool))
 
 
-class TestCustomLift:
-    @settings(max_examples=25, deadline=None)
-    @given(a=st.integers(-3, 3), b=st.integers(-3, 3), c=st.integers(-5, 5),
-           N=st.integers(1, 10))
-    def test_predicate_and_mask_fn_agree(self, a, b, c, N):
-        amb = enumerate_simplex(2, N)
-        hub = restrict(amb, [parse_constraint("x1<=0.5", 3)])
-        by_pred = build_relation(
-            hub, amb, "custom",
-            predicate=lambda x, y: a * x[0] + b * y[1] <= c / 4 + 1e-9)
-        by_fn = build_relation(
-            hub, amb, "custom",
-            mask_fn=lambda X, Y: a * X[:, [0]] + b * Y[None, :, 1] <= c / 4 + 1e-9)
-        assert np.array_equal(by_pred.mask(), by_fn.mask())
+class TestCustom:
+    def test_predicate_alone_is_refused(self):
+        K = enumerate_simplex(1, 3)
+        with pytest.raises(InvalidArgument, match="mask_fn"):
+            build_relation(K, K, "custom", predicate=lambda x, y: True)
+
+
+# -- exact projector screens ---------------------------------------------------
+
+
+def _float_screen(kind, params):
+    """A projector's screen as a float rule with a 1e-9 slack: the oracle
+    off the lattice, and on it wherever no lattice value lies within 1e-9
+    above the bound."""
+    if kind == "fee_cap":
+        coeffs, tau = params["functional"].coeff_array(), params["tau"]
+        return lambda Y: Y @ coeffs <= tau + 1e-9
+    if kind == "liquidity_cap":
+        idx, alpha = list(params["illiquid"]), params["alpha"]
+        return lambda Y: Y[:, idx].sum(axis=1) <= alpha + 1e-9
+    if kind == "position_caps":
+        caps = np.asarray(params["caps"], dtype=np.float64)
+        return lambda Y: (Y <= caps + 1e-9).all(axis=1)
+    costs, kappa = np.asarray(params["costs"], dtype=np.float64), params["kappa"]
+    return lambda Y: Y @ costs <= kappa + 1e-9
+
+
+def _diagonal_test(R, Y):
+    """R.test on the pairs (y, y) of the rows of Y, in blocks."""
+    return np.concatenate([R.test(Y[s:s + 128], Y[s:s + 128]).diagonal()
+                           for s in range(0, len(Y), 128)])
+
+
+class TestExactScreen:
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.sampled_from(["fee_cap", "liquidity_cap", "position_caps",
+                                 "maintenance"]),
+           n=st.integers(1, 3), N=st.integers(1, 30), data=st.data())
+    def test_exact_screen_matches_float_oracle(self, kind, n, N, data):
+        # Bounds on a lattice value, or one step 1/N to either side of it:
+        # every lattice value is then on the bound or at least 1/(N q) from
+        # it, so the float oracle's 1e-9 slack decides as exactly.
+        if n == 3:
+            N = min(N, 16)
+        d = n + 1
+        K = enumerate_simplex(n, N)
+        h = K.holdings[data.draw(st.integers(0, len(K) - 1))]
+        steps = data.draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
+
+        def through(value, step):
+            return float(max(value + Fraction(step, N), 0))
+
+        if kind == "fee_cap":
+            coeffs = tuple(Fraction(a, q) for a, q in data.draw(st.lists(
+                st.tuples(st.integers(0, 20), st.sampled_from([1, 2, 3, 4])),
+                min_size=d, max_size=d)))
+            value = sum(c * x for c, x in zip(coeffs, h)) / N
+            params = {"tau": through(value, steps[0]),
+                      "functional": LinearFunctional(coeffs)}
+        elif kind == "liquidity_cap":
+            idx = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=d))
+            params = {"alpha": through(Fraction(sum(int(h[i]) for i in idx), N), steps[0]),
+                      "illiquid": idx}
+        elif kind == "position_caps":
+            params = {"caps": [through(Fraction(int(x), N), s) for x, s in zip(h, steps)]}
+        else:
+            costs = [Fraction(a, q) for a, q in data.draw(st.lists(
+                st.tuples(st.integers(0, 10), st.sampled_from([1, 2, 5, 10])),
+                min_size=d, max_size=d))]
+            value = sum(c * x for c, x in zip(costs, h)) / N
+            params = {"kappa": through(value, steps[0]),
+                      "costs": [float(c) for c in costs]}
+        R = build_relation(K, K, kind, **params)
+        oracle = _float_screen(kind, params)
+        want = oracle(K.array)
+        assert np.array_equal(R.mask().diagonal(), want)
+        assert np.array_equal(R.menu_mask(np.ones(len(K), dtype=bool)), want)
+        assert np.array_equal(_diagonal_test(R, K.array), want)
+        # rows that leave the lattice keep the float rule
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        shift = rng.uniform(1e-6, 1 / (4 * N), size=K.array.shape)
+        off = K.array + shift * rng.choice([-1, 1], size=K.array.shape)
+        assert np.array_equal(_diagonal_test(R, off), oracle(off))
+
+    @pytest.mark.parametrize("kind, params, holdings", [
+        ("fee_cap", lambda e: {"tau": 6.05 - e, "functional": FEE}, (21, 79, 0)),
+        ("liquidity_cap", lambda e: {"alpha": 0.35 - e, "illiquid": (0, 2)}, (20, 65, 15)),
+        ("position_caps", lambda e: {"caps": (1.0, 0.35 - e, 1.0)}, (40, 35, 25)),
+        ("maintenance", lambda e: {"kappa": 0.456 - e, "costs": (0.3, 0.7, 0.1)},
+         (28, 50, 22)),
+    ], ids=["fee_cap", "liquidity_cap", "position_caps", "maintenance"])
+    def test_bound_just_below_a_lattice_value_rejects_it(self, kind, params, holdings):
+        # The point's value equals the bound at e = 0.  At e = 1e-10 a 1e-9
+        # float slack would still admit the point; the exact screen rejects
+        # it in mask, menu_mask and contains_vectors alike.
+        K = enumerate_simplex(2, 100)
+        i = K.index_of(GridPoint(holdings, 100))
+        y = K.array[i]
+        one = np.arange(len(K)) == i
+        for e, admitted in ((0.0, True), (1e-10, False)):
+            R = build_relation(K, K, kind, **params(e))
+            assert R.contains_vectors(y, y) is admitted
+            assert R.menu_mask(one)[i] == admitted
+            assert R.mask()[i, i] == admitted
+        assert _float_screen(kind, params(1e-10))(y[None])[0]

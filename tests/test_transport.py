@@ -61,7 +61,7 @@ class TestPullback:
         spoke = enumerate_simplex(1, 10)
         f = agg_map(hub, spoke)
         S = build_relation(spoke, spoke, "custom",
-                           predicate=lambda y, z: y[0] <= 2 * z[0] + 1e-9)
+                           mask_fn=lambda Y, Z: Y[:, [0]] <= 2 * Z[None, :, 0] + 1e-9)
         pb = pullback(f, S)
         for x in hub.points:
             for z in spoke.points:
@@ -99,7 +99,7 @@ class TestPushforward:
         spoke = enumerate_simplex(1, 10)
         f = agg_map(hub, spoke)
         R = build_relation(hub, spoke, "custom",
-                           predicate=lambda x, z: x[0] >= z[0] - 1e-9)
+                           mask_fn=lambda X, Z: X[:, [0]] >= Z[None, :, 0] - 1e-9)
         assert pushforward_contains(f, R, np.array([0.6, 0.4]), np.array([0.4, 0.6]))
         assert not pushforward_contains(f, R, np.array([0.3, 0.7]), np.array([0.4, 0.6]))
         # full membership agrees with the closed-form condition
@@ -208,7 +208,7 @@ class TestFunctoriality:
                       matrix=np.array([[0, 1], [1, 0]], float), name="swap")
         Z = enumerate_simplex(1, 10)
         R = build_relation(hub, Z, "custom",
-                           predicate=lambda x, z: x[2] >= z[0] - 1e-9)
+                           mask_fn=lambda X, Zz: X[:, [2]] >= Zz[None, :, 0] - 1e-9)
         S = build_relation(mid, Z, "track", epsilon=0.5)
         assert verify_functoriality(f, g, R, S=S).holds
 
@@ -248,7 +248,6 @@ class TestBeckChevalley:
         square = CommutingSquare(g=g, fp=fp, f=f, h=identity_map(KD))
         Z = enumerate_simplex(1, 10)
         R = build_relation(KB, Z, "custom",
-                           predicate=lambda y, z: y[0] <= 2 * z[0] + 1e-9,
                            mask_fn=lambda Y, Zz: Y[:, [0]] <= 2 * Zz[:, 0][None, :] + 1e-9)
         lax = verify_lax_bc(square, R)
         strict = verify_strict_bc(square, R)
@@ -265,7 +264,6 @@ class TestBeckChevalley:
         square = CommutingSquare(g=incl, fp=incl, f=i, h=i)
         Z = enumerate_simplex(1, 10)
         R = build_relation(KB, Z, "custom",
-                           predicate=lambda y, z: y[0] >= z[0] - 1e-9,
                            mask_fn=lambda Y, Zz: Y[:, [0]] >= Zz[:, 0][None, :] - 1e-9)
         strict = verify_strict_bc(square, R)
         assert not strict.detail["pointwise_cartesian"]
