@@ -1,8 +1,9 @@
 """The menu calculus: actions K . R, action laws, determinization, templates.
 
 A menu is a boolean mask over a lattice space, with the provenance of the
-relations that produced it.  An action is one `menu_mask` of the hub mask:
-it builds no pair set and no GridPoint, so desk-scale menus stay cheap.
+relations that produced it.  An action is one `menu_mask` of the hub mask,
+a fiber F_R(x) is the row of R's mask at x and determinization one masked
+argmax over those rows: none builds a pair set or a GridPoint.
 """
 
 from __future__ import annotations
@@ -17,11 +18,16 @@ from .geometry import (
     InvalidArgument,
     LatticeSpace,
     enumerate_simplex,
-    snap_to_lattice,
+    snap_rows,
 )
-from .optimize import Infeasible, ReimplMap
+from .optimize import Infeasible, ReimplMap, _over_fibers
 from .relations import Relation, build_relation, compose_vertical, diagonal
 from .transport import LawReport, MAX_WITNESSES
+
+# Hard cap on the core x satellite pairs one mix snaps, in blocks of about
+# _MIX_BLOCK, checked before the scan: about 10 s at 0.2-0.3 us a pair (n <= 3).
+MAX_MIX_PAIRS = 40_000_000
+_MIX_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,14 +95,6 @@ def action(K: MenuLike, R: Relation) -> Menu:
                 provenance=menu.provenance + (R.describe(),))
 
 
-def fibers_of(K: MenuLike, R: Relation) -> dict[GridPoint, tuple[GridPoint, ...]]:
-    """Per-hub fiber sets F_R(x) for x in K (materializes R's mask)."""
-    rows = np.flatnonzero(_as_menu(K).mask_on(R.domain))
-    mask = R.mask()
-    dp, cp = R.domain.points, R.codomain.points
-    return {dp[i]: tuple(cp[j] for j in np.flatnonzero(mask[i])) for i in rows}
-
-
 def verify_action_laws(K: MenuLike, R: Relation, S: Relation,
                        wide: Optional[LatticeSpace] = None,
                        projector: Optional[Relation] = None) -> LawReport:
@@ -132,7 +130,7 @@ def verify_action_laws(K: MenuLike, R: Relation, S: Relation,
     proj = projector if projector is not None else diagonal(R.codomain)
     once = action(menu_R, proj)
     twice = action(once, proj)
-    fixed = np.array([proj.contains(p, p) for p in proj.codomain.points], dtype=bool)
+    fixed = np.array([proj.contains_vectors(y, y) for y in proj.codomain.array], dtype=bool)
     screened = menu_R.mask_on(proj.codomain) & fixed
     law("projector", np.array_equal(once.mask, screened)
         and np.array_equal(twice.mask, once.mask), len(once), int(screened.sum()))
@@ -146,34 +144,30 @@ def verify_action_laws(K: MenuLike, R: Relation, S: Relation,
                      detail=results)
 
 
-def determinize(domain: LatticeSpace, codomain: LatticeSpace,
-                fibers: dict[GridPoint, Sequence[GridPoint]],
-                alpha: float, name: str = "sel") -> ReimplMap:
-    """Select from each fiber the point minimizing alpha*||y||^2.
-
-    alpha must be positive (it is what makes the squared-norm penalty a
-    strictly convex tie-splitter); residual ties break lexicographically.
-    """
-    if alpha <= 0:
-        raise InvalidArgument("determinization requires alpha > 0")
-    chosen = []
-    for x in domain.points:
-        fiber_pts = sorted(fibers.get(x, ()))
-        if not fiber_pts:
-            raise Infeasible(f"empty fiber at hub {x}")
-        norms = [alpha * float((p.to_array() ** 2).sum()) for p in fiber_pts]
-        chosen.append(fiber_pts[int(np.argmin(norms))])
-    return ReimplMap(domain, codomain, "lattice_argmin",
-                     img=codomain.indices_of(chosen), name=name)
-
-
 def determinize_relation(K: MenuLike, R: Relation, alpha: float) -> ReimplMap:
+    """Select from each fiber F_R(x), x in K, the point minimizing alpha*||y||^2.
+
+    One masked argmax over the rows of R's mask: the first best member is
+    the lexicographically smallest.  alpha must be positive and finite (it
+    is what makes the squared-norm penalty a strictly convex tie-splitter);
+    a hub with an empty fiber is Infeasible.
+    """
     menu = _as_menu(K)
+    rows = np.flatnonzero(menu.mask_on(R.domain))
+    mask = R.mask()[rows]
+    if not 0 < alpha < np.inf:
+        raise InvalidArgument("determinization requires a finite alpha > 0")
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if len(empty):
+        x = GridPoint(tuple(R.domain.holdings[rows[empty[0]]].tolist()), R.domain.N)
+        raise Infeasible(f"empty fiber at hub {x}")
     domain = menu.space
     if not menu.mask.all():
         domain = LatticeSpace(domain.n, domain.N, (), domain.holdings[menu.mask],
                               explicit=True)
-    return determinize(domain, R.codomain, fibers_of(menu, R), alpha)
+    penalty = -alpha * (R.codomain.array ** 2).sum(axis=1)
+    return ReimplMap(domain, R.codomain, "lattice_argmin",
+                     img=_over_fibers(np.argmax, mask, penalty), name="sel")
 
 
 @dataclass(frozen=True)
@@ -210,13 +204,18 @@ def apply_template(t: WiringTemplate, inputs: Sequence[MenuLike]) -> Menu:
         out: LatticeSpace = t.params["output"]
         if core.space.n != out.n or sat.space.n != out.n:
             raise InvalidArgument("core/satellite universes must match the output")
+        C, Sat = core.space.array[core.mask], sat.space.array[sat.mask]
+        if len(C) * len(Sat) > MAX_MIX_PAIRS:
+            raise InvalidArgument(f"core-satellite mix of {len(C)} x {len(Sat)} points "
+                                  f"exceeds the supported {MAX_MIX_PAIRS} pairs")
         # the mixes of every core and satellite point, snapped into out
         w = t.params["w"]
-        mix = (w * core.space.array[core.mask][:, None, :]
-               + (1.0 - w) * sat.space.array[sat.mask][None, :, :])
-        snapped = [snap_to_lattice(v, out.N).coords for v in mix.reshape(-1, out.n + 1)]
-        i = out.index_holdings(np.array(snapped, dtype=np.int64).reshape(-1, out.n + 1))
-        hit = np.bincount(i[i >= 0], minlength=len(out)) > 0
+        hit = np.zeros(len(out), dtype=bool)
+        step = max(1, _MIX_BLOCK // max(len(Sat), 1))
+        for start in range(0, len(C), step):
+            mix = w * C[start:start + step, None, :] + (1.0 - w) * Sat[None, :, :]
+            i = out.index_holdings(snap_rows(mix.reshape(-1, out.n + 1), out.N))
+            hit[i[i >= 0]] = True
         menu = Menu(out, hit, provenance=(f"mix(w={w})",))
         screen = t.params.get("global_screen")
         if screen is not None:

@@ -4,7 +4,7 @@ Portfolios live on the standard simplex at step 1/N.  A space is a (P, n+1)
 int64 array of non-negative integer holdings, one row per point summing to
 N, so constraints are exact integer tests on the whole array and point
 lookups are integer keys.  GridPoint, one point as a tuple, appears only
-at the API edges: parsing, printing, pair sets, fibers and map evaluation.
+at the API edges: parsing, printing, pair sets and map evaluation.
 """
 
 from __future__ import annotations
@@ -34,13 +34,18 @@ class InvalidArgument(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
+    """A float reads as the simplest fraction (denominator <= 10^9) that rounds
+    back to it, as 0.3 -> 3/10, else exactly, so 5.9999999999 stays below 6."""
     if isinstance(x, (Fraction, int, float, str)):
         try:
             q = Fraction(x)
         except (ValueError, ZeroDivisionError, OverflowError):  # '1/0', 'abc', nan, inf
             pass
         else:
-            return q.limit_denominator(10**9) if isinstance(x, float) else q
+            if isinstance(x, float):
+                r = q.limit_denominator(10**9)
+                return r if float(r) == x else q
+            return q
     raise InvalidArgument(f"cannot interpret {x!r} as a rational number")
 
 
@@ -446,35 +451,26 @@ def grid_point_from_vector(v: Sequence[float], N: int, tol: float = FLOAT_TOL) -
     return GridPoint(tuple(int(c) for c in coords), N)
 
 
-def snap_to_lattice(v: Sequence[float], N: int) -> GridPoint:
-    """Nearest lattice point in L2 (ties resolved toward the lex-smallest point).
+def snap_rows(V: np.ndarray, N: int) -> np.ndarray:
+    """Nearest lattice holdings in L2 of each weight-vector row of V: (M, d) int64.
 
-    Scale to holdings, floor, then hand the remaining units to the
-    coordinates with the largest fractional parts; among equal fractions
-    later coordinates win, which yields the lexicographically smallest
-    result.
+    Scale to holdings and floor, nudged up by FLOAT_TOL.  A row short of N
+    hands one unit to each of its largest fractions, ties to the later
+    coordinate, which yields the lexicographically smallest nearest point;
+    an over-allocated row gives one unit back from each positive coordinate,
+    smallest fraction first (ties to the earlier one), until it sums to N.
     """
-    v = np.asarray(v, dtype=float)
-    scaled = v * N
-    base = np.floor(scaled + FLOAT_TOL).astype(int)
-    base = np.maximum(base, 0)
-    deficit = N - int(base.sum())
-    if deficit < 0:
-        # Over-allocated by the tolerance nudge; trim from the smallest fractions.
-        order = np.argsort(scaled - base, kind="stable")
-        for i in order:
-            if deficit == 0:
-                break
-            if base[i] > 0:
-                base[i] -= 1
-                deficit += 1
-    elif deficit > 0:
-        frac = scaled - base
-        # Largest fractional part first; ties go to the later coordinate.
-        order = sorted(range(len(frac)), key=lambda i: (-frac[i], -i))
-        for i in order[:deficit]:
-            base[i] += 1
-    return GridPoint(tuple(int(c) for c in base), N)
+    S = np.asarray(V, dtype=float) * N
+    B = np.maximum(np.floor(S + FLOAT_TOL).astype(np.int64), 0)
+    order = np.argsort(S - B, axis=1, kind="stable")     # smallest fraction first
+    sorted_B = np.take_along_axis(B, order, axis=1)
+    short = N - B.sum(axis=1)
+    step = (np.arange(B.shape[1] - 1, -1, -1) < short[:, None]).astype(np.int64)
+    over = np.flatnonzero(short < 0)                     # rare for rows on the simplex
+    held = sorted_B[over] > 0
+    step[over] -= held & (np.cumsum(held, axis=1) <= -short[over, None])
+    np.put_along_axis(B, order, sorted_B + step, axis=1)
+    return B
 
 
 # Parsing helpers for the CLI and JSON interfaces.

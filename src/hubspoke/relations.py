@@ -474,13 +474,6 @@ def intersect(R: Relation, Rp: Relation) -> Relation:
                     lambda X, Y: R.test(X, Y) & Rp.test(X, Y), mask=both)
 
 
-def fiber(R: Relation, x: GridPoint) -> tuple[GridPoint, ...]:
-    """All codomain points aligned with x."""
-    i = R.domain.index_of(x)
-    row = R.mask()[i]
-    return tuple(R.codomain.points[j] for j in np.nonzero(row)[0])
-
-
 def graph_of(f) -> Relation:
     """Graph(f) as a vertical morphism.
 

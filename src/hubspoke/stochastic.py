@@ -54,6 +54,10 @@ KDE_BLOCK = 2**16
 # Hard cap on the samples of one cloud, checked before anything is drawn.
 MAX_SAMPLES = 1_000_000
 
+# Hard cap on the distances of one lattice-scan cure (violating samples x |S|),
+# checked before the scan: about 10 s at 64 ns a distance (n <= 3).
+MAX_CURE_CELLS = 160_000_000
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -458,9 +462,23 @@ def _halfspace_cure(samples: np.ndarray, c: LinearConstraint,
     return unit * excess
 
 
+def _lattice_cure(bad: np.ndarray, S: LatticeSpace, w: np.ndarray) -> np.ndarray:
+    """min over the points y of S of sum_i w_i |x_i - y_i|, per row x of bad,
+    scanned in blocks of 256 rows; refused above MAX_CURE_CELLS distances."""
+    if len(bad) * len(S) > MAX_CURE_CELLS:
+        raise InvalidArgument(f"lattice cure of {len(bad)} violating samples x {len(S)} "
+                              f"points exceeds the supported {MAX_CURE_CELLS} distances")
+    target = S.array
+    vals = np.empty(len(bad))
+    for start in range(0, len(bad), 256):
+        block = bad[start:start + 256]
+        d = (np.abs(block[:, None, :] - target[None, :, :]) * w).sum(axis=2)
+        vals[start:start + 256] = d.min(axis=1)
+    return vals
+
+
 def wasserstein_cure(cloud: SampleCloud, S: LatticeSpace,
-                     tau: Optional[Sequence[float]] = None,
-                     force_lattice: bool = False) -> CureResult:
+                     tau: Optional[Sequence[float]] = None) -> CureResult:
     """Per-sample minimal (optionally tau-weighted) L1 transport into S.
 
     Samples already satisfying the constraints cost exactly zero.  A pure
@@ -481,21 +499,13 @@ def wasserstein_cure(cloud: SampleCloud, S: LatticeSpace,
     costs = np.zeros(len(cloud.samples))
     outside = ~S.contains_rows(cloud.samples)
     if outside.any():
-        analytic = None
-        if not force_lattice and not S.explicit and len(S.constraints) == 1:
-            analytic = _halfspace_cure(cloud.samples[outside], S.constraints[0], tau_arr)
-        if analytic is not None:
-            costs[outside] = analytic
-        else:
+        cost = None
+        if not S.explicit and len(S.constraints) == 1:
+            cost = _halfspace_cure(cloud.samples[outside], S.constraints[0], tau_arr)
+        if cost is None:
             w = tau_arr if tau_arr is not None else np.ones(S.n + 1)
-            target = S.array
-            bad = cloud.samples[outside]
-            vals = np.empty(len(bad))
-            for start in range(0, len(bad), 256):
-                block = bad[start:start + 256]
-                d = (np.abs(block[:, None, :] - target[None, :, :]) * w).sum(axis=2)
-                vals[start:start + 256] = d.min(axis=1)
-            costs[outside] = vals
+            cost = _lattice_cure(cloud.samples[outside], S, w)
+        costs[outside] = cost
     return CureResult(mean_cost=float(costs.mean()), per_sample=costs,
                       violation_rate=float(outside.mean()))
 

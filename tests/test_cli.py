@@ -270,16 +270,51 @@ class TestMenuAndMaps:
     def test_core_satellite_csv_bytes_pinned(self, capsys, tmp_path):
         # x1 <= 0.6 mixed with x2 <= 0.5 at 1/10: the menu lives on the
         # ambient lattice, 7 of its 60 points beyond the core's cap
-        paths = []
-        for name, cap in (("core", "x1<=0.6"), ("sat", "x2<=0.5")):
-            paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(json.dumps({"n": 2, "N": 10, "constraints": [
-                parse_constraint(cap, 3).to_dict()]}))
         code, out = run(capsys, "menu", "--template", "core-satellite", "--w", "0.5",
-                        "--inputs", *map(str, paths), "--format", "csv")
+                        "--inputs", *self._core_satellite_inputs(tmp_path, 10),
+                        "--format", "csv")
         assert code == 0 and "menu: 60 points" in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "45ebf299c7725104e634e8303a9c2898ff92429e1f7e0ea5728912648c8843d7")
+
+    def _core_satellite_inputs(self, tmp_path, N):
+        paths = []
+        for name, cap in (("core", "x1<=0.6"), ("sat", "x2<=0.5")):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump({"n": 2, "N": N, "constraints": [
+                    parse_constraint(cap, 3).to_dict()]}, fh)
+        return paths
+
+    def test_core_satellite_csv_bytes_pinned_at_40(self, capsys, tmp_path):
+        # 725 x 651 mixes; the same bytes as the per-pair snapping loop
+        code, out = run(capsys, "menu", "--template", "core-satellite", "--w", "0.5",
+                        "--inputs", *self._core_satellite_inputs(tmp_path, 40),
+                        "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3e5efd1c4fa22f4924fbeba6dce3659996056fe8b7bc9aaa0c4ca1a4d801593a")
+
+    def test_core_satellite_pair_budget_exit_two(self, capsys, tmp_path, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("snapped past the budget")
+
+        monkeypatch.setattr("hubspoke.dots.MAX_MIX_PAIRS", 195 * 176 - 1)
+        monkeypatch.setattr("hubspoke.dots.snap_rows", refuse)
+        code = main(["menu", "--template", "core-satellite", "--w", "0.5",
+                     "--inputs", *self._core_satellite_inputs(tmp_path, 20)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceeds the supported 34319 pairs" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_fee_cap_just_below_a_lattice_value(self, capsys, tmp_path):
+        # a 1e-10 offset below 6 is a bound below 6: the fee-6 points go
+        hub = self._worked_example_hub(tmp_path)
+        for tau, count in (("6", 3511), ("5.9999999999", 3470)):
+            code, out = run(capsys, "menu", "--hub", hub,
+                            "--apply", "track:0.05", "--apply", f"fee_cap:{tau}")
+            assert code == 0 and out.startswith(f"menu: {count} points\n")
 
     def test_build_map(self, capsys, tmp_path):
         spec = {"gA": [[1.0, 0.0]], "gB": [[1.0, 0.0]], "p": 2}
@@ -385,6 +420,16 @@ class TestStochasticCommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "samples exceed" in captured.err and captured.err.count("\n") == 1
+
+    def test_lattice_cure_budget_exit_two(self, capsys, monkeypatch):
+        # every sample of the default hub violates x1 + x2 <= 0.5, whose
+        # 1/100 lattice has 1326 points: 200 x 1326 distances
+        monkeypatch.setattr("hubspoke.stochastic.MAX_CURE_CELLS", 200 * 1326 - 1)
+        code = main(["cure", "--constraint", "1,1,0<=0.5", "--n", "200"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceeds the supported 265199 distances" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_compare_computes_no_density(self, capsys, monkeypatch):
         def refuse(*a, **kw):

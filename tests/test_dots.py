@@ -1,4 +1,8 @@
+import hashlib
 import itertools
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from hubspoke.relations import (
     build_relation,
     diagonal,
     empty_relation,
+    explicit_relation,
+    full_relation,
     graph_of,
 )
 from hubspoke.dots import (
@@ -26,9 +32,7 @@ from hubspoke.dots import (
     WiringTemplate,
     action,
     apply_template,
-    determinize,
     determinize_relation,
-    fibers_of,
     verify_action_laws,
 )
 
@@ -146,20 +150,33 @@ class TestActionLaws:
         assert {p.coords for p in once.points} == {p.coords for p in twice.points}
 
 
+def per_hub_determinize(K, R, alpha):
+    """The per-hub selection loop, kept as the oracle: sort each hub's
+    fiber, take alpha*||y||^2 per point, keep the first minimum."""
+    menu = K if isinstance(K, Menu) else Menu(K, np.ones(len(K), dtype=bool))
+    mask = R.mask()
+    chosen = []
+    for x in menu.points:
+        fiber_pts = sorted(R.codomain.points[j]
+                           for j in np.flatnonzero(mask[R.domain.index_of(x)]))
+        if not fiber_pts:
+            raise Infeasible(f"empty fiber at hub {x}")
+        norms = [alpha * float((p.to_array() ** 2).sum()) for p in fiber_pts]
+        chosen.append(fiber_pts[int(np.argmin(norms))])
+    return R.codomain.indices_of(chosen)
+
+
 class TestDeterminize:
     def test_singleton_fibers_forced(self):
         K = enumerate_simplex(1, 4)
-        fibers = {p: (p,) for p in K.points}
-        f = determinize(K, K, fibers, alpha=1.0)
+        f = determinize_relation(K, diagonal(K), alpha=1.0)
         for p in K.points:
             assert np.allclose(f.evaluate(p), p.to_array())
 
     def test_symmetric_tie_breaks_to_lex_smallest(self):
-        K = enumerate_simplex(2, 1)   # the three vertices
-        verts = K.points
-        fibers = {p: tuple(verts) for p in verts}
-        f = determinize(K, K, fibers, alpha=2.5)
-        for p in verts:
+        K = enumerate_simplex(2, 1)   # the three vertices, all of norm 1
+        f = determinize_relation(K, full_relation(K, K), alpha=2.5)
+        for p in K.points:
             assert np.allclose(f.evaluate(p), GridPoint((0, 0, 1), 1).to_array())
 
     def test_min_norm_selection_oracle(self):
@@ -167,22 +184,54 @@ class TestDeterminize:
         hub = restrict(amb, [parse_constraint("x1<=0.6", 3)])
         track = build_relation(amb, amb, "track", epsilon=0.05)
         f = determinize_relation(hub, track, alpha=1.0)
-        fibers = fibers_of(hub, track)
+        mask = track.mask()
         for p in hub.points[::17]:
-            y = f.evaluate(p)
-            norms = [float((q.to_array() ** 2).sum()) for q in fibers[p]]
-            assert float((y ** 2).sum()) == pytest.approx(min(norms))
+            fiber = amb.array[mask[amb.index_of(p)]]
+            assert float((f.evaluate(p) ** 2).sum()) == pytest.approx(
+                float((fiber ** 2).sum(axis=1).min()))
 
     def test_alpha_must_be_positive(self):
         K = enumerate_simplex(1, 3)
-        with pytest.raises(InvalidArgument):
-            determinize(K, K, {p: (p,) for p in K.points}, alpha=0.0)
+        for alpha in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidArgument):
+                determinize_relation(K, diagonal(K), alpha=alpha)
 
     def test_empty_fiber_infeasible(self):
         K = enumerate_simplex(1, 3)
-        fibers = {p: () for p in K.points}
-        with pytest.raises(Infeasible):
-            determinize(K, K, fibers, alpha=1.0)
+        with pytest.raises(Infeasible, match=r"empty fiber at hub \(0/3, 3/3\)"):
+            determinize_relation(K, empty_relation(K, K), alpha=1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3),
+           alpha=st.sampled_from([0.3, 1.0, 2.5, 1e-6]))
+    def test_matches_per_hub_loop(self, data, n, alpha):
+        amb = enumerate_simplex(n, data.draw(st.integers(1, 20 if n < 3 else 8)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["track", "turnover", "full", "dense", "sparse"]))
+        if kind == "track":
+            R = build_relation(amb, amb, "track", epsilon=data.draw(st.floats(0.0, 0.5)))
+        elif kind == "turnover":
+            R = build_relation(amb, amb, "turnover", kappa=data.draw(st.floats(0.0, 1.0)))
+        elif kind == "full":      # fibers tie on the norm across permuted points
+            R = full_relation(amb, amb)
+        else:                     # random incidences; sparse ones leave fibers empty
+            keep = rng.random((len(amb), len(amb))) < (0.5 if kind == "dense" else 0.05)
+            R = explicit_relation(amb, amb, [(amb.points[i], amb.points[j])
+                                             for i, j in zip(*np.nonzero(keep))])
+        hubs = np.ones(len(amb), dtype=bool)
+        menu = amb
+        if data.draw(st.booleans()):   # a restricted menu: a subset of the hubs
+            hubs = rng.random(len(amb)) < 0.4
+            menu = Menu(amb, hubs)
+        try:
+            want = per_hub_determinize(menu, R, alpha)
+        except Infeasible as e:
+            with pytest.raises(Infeasible, match=re.escape(str(e))):
+                determinize_relation(menu, R, alpha)
+            return
+        f = determinize_relation(menu, R, alpha)
+        assert np.array_equal(f.img, want)
+        assert np.array_equal(f.domain.holdings, amb.holdings[hubs])
 
     def test_graph_stays_inside_relation(self):
         amb = enumerate_simplex(1, 10)
@@ -300,3 +349,11 @@ class TestDotsTransportBridge:
         S = build_relation(amb, amb, "fee_cap", tau=6, functional=FEE)
         rep = verify_frobenius(f, R, S)
         assert rep.holds and rep.lhs_count > 0
+
+
+def test_worked_example_stdout_pinned(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "worked_example.py"
+    runpy.run_path(str(script))["main"]()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "319951978fa3ee20f7109ded99e53cd89aebd965c9d40cfb8bc899ebdf48f670")

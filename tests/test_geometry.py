@@ -17,6 +17,7 @@ from hubspoke.geometry import (
     LatticeSpace,
     LinearConstraint,
     LinearFunctional,
+    _as_fraction,
     contains,
     enumerate_simplex,
     eval_functional,
@@ -25,7 +26,7 @@ from hubspoke.geometry import (
     parse_constraint,
     parse_step,
     restrict,
-    snap_to_lattice,
+    snap_rows,
 )
 
 
@@ -309,6 +310,15 @@ class TestParsing:
         k = parse_constraint("x2<=3/7", 3)
         assert LinearConstraint.from_dict(k.to_dict()) == k
 
+    def test_float_reads_as_a_simple_fraction_only_when_it_rounds_back(self):
+        # 0.3 and float(1/3) round back from 3/10 and 1/3; 5.9999999999
+        # rounds back from no fraction of denominator <= 10^9 and stays below 6
+        assert _as_fraction(0.3) == Fraction(3, 10)
+        assert _as_fraction(1 / 3) == Fraction(1, 3)
+        assert _as_fraction(6.0) == 6
+        assert _as_fraction(5.9999999999) == Fraction(5.9999999999) < 6
+        assert _as_fraction(6 - 2e-10) < 6
+
 
 class TestPointsAndSnap:
     def test_grid_point_invariants(self):
@@ -328,12 +338,34 @@ class TestPointsAndSnap:
     def test_snap_lands_on_lattice(self, N, raw):
         total = sum(raw)
         v = [x / total for x in raw]
-        p = snap_to_lattice(v, N)
-        assert sum(p.coords) == N
+        H = snap_rows(np.array([v]), N)
+        assert H.dtype == np.int64 and H.sum() == N and (H >= 0).all()
 
     def test_snap_exact_point_is_fixed(self):
         p = GridPoint((3, 7, 10), 20)
-        assert snap_to_lattice(p.to_array(), 20) == p
+        assert snap_rows(p.to_array()[None], 20)[0].tolist() == [3, 7, 10]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 6), N=st.integers(1, 100),
+           kind=st.sampled_from(["tie", "near_tie", "trim", "off_simplex", "any"]))
+    def test_snap_rows_matches_per_vector_oracle(self, data, d, N, kind):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        M = 200
+        if kind == "tie":          # half-steps: fractions of exactly 0 and 1/2
+            V = rng.multinomial(2 * N, np.ones(d) / d, size=M) / (2 * N)
+        elif kind == "near_tie":   # half-steps moved by up to 1e-9 per coordinate
+            V = (rng.multinomial(2 * N, np.ones(d) / d, size=M) / (2 * N)
+                 + rng.uniform(-1e-9, 1e-9, size=(M, d)))
+        elif kind == "trim":       # coordinates the FLOAT_TOL nudge floors one step up
+            V = (rng.multinomial(N, np.ones(d) / d, size=M) / N
+                 + (rng.random((M, d)) < 0.5) / N - rng.uniform(0, FLOAT_TOL, size=(M, d)))
+        elif kind == "off_simplex":  # near-lattice rows of any sum: trims left unfinished
+            V = (rng.integers(-1, N + 2, size=(M, d)) / N
+                 + rng.uniform(-1e-9, 1e-9, size=(M, d)))
+        else:
+            V = rng.uniform(-0.2, 0.8, size=(M, d))
+        want = np.array([snap_to_lattice_oracle(v, N) for v in V]).reshape(M, d)
+        assert np.array_equal(snap_rows(V, N), want)
 
     def test_explicit_space_round_trip(self):
         amb = enumerate_simplex(1, 5)
@@ -344,6 +376,31 @@ class TestPointsAndSnap:
 
 
 # -- the holdings core against the per-point rules it replaced -------------------
+
+
+def snap_to_lattice_oracle(v, N):
+    """The per-vector snapping loop snap_rows replaced, kept as the oracle."""
+    v = np.asarray(v, dtype=float)
+    scaled = v * N
+    base = np.floor(scaled + FLOAT_TOL).astype(int)
+    base = np.maximum(base, 0)
+    deficit = N - int(base.sum())
+    if deficit < 0:
+        # Over-allocated by the tolerance nudge; trim from the smallest fractions.
+        order = np.argsort(scaled - base, kind="stable")
+        for i in order:
+            if deficit == 0:
+                break
+            if base[i] > 0:
+                base[i] -= 1
+                deficit += 1
+    elif deficit > 0:
+        frac = scaled - base
+        # Largest fractional part first; ties go to the later coordinate.
+        order = sorted(range(len(frac)), key=lambda i: (-frac[i], -i))
+        for i in order[:deficit]:
+            base[i] += 1
+    return tuple(int(c) for c in base)
 
 
 def compositions_oracle(total, parts):

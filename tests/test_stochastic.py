@@ -21,6 +21,7 @@ from hubspoke.stochastic import (
     ComparisonRow,
     KernelSpec,
     SampleCloud,
+    _lattice_cure,
     builtin_scenarios,
     compose_radius,
     comparison_table,
@@ -446,11 +447,10 @@ class TestCure:
         cloud = sample_kernel(spec, sc.hub)
         S = sc.constraint_space(100)
         fast = wasserstein_cure(cloud, S)
-        slow = wasserstein_cure(cloud, S, force_lattice=True)
-        # lattice quantization adds at most one L1 grid step (2/N)
         viol = fast.per_sample > 0
-        assert np.all(np.abs(fast.per_sample[viol] - slow.per_sample[viol])
-                      <= 2 / 100 + 1e-9)
+        slow = _lattice_cure(cloud.samples[viol], S, np.ones(3))
+        # lattice quantization adds at most one L1 grid step (2/N)
+        assert np.all(np.abs(fast.per_sample[viol] - slow) <= 2 / 100 + 1e-9)
 
     def test_lipschitz_in_constraint_bound(self):
         # relaxing x1 <= b to b + h cannot reduce the mean cost by more than

@@ -142,10 +142,9 @@ class TestAdjunction:
         cells = list(itertools.product(K.points, K.points))
         subsets = list(itertools.chain.from_iterable(
             itertools.combinations(cells, k) for k in range(4)))
-        for r_pairs in subsets:
-            R = explicit_relation(K, K, r_pairs)
-            for s_pairs in subsets:
-                S = explicit_relation(K, K, s_pairs)
+        relations = [explicit_relation(K, K, pairs) for pairs in subsets]
+        for R in relations:
+            for S in relations:
                 assert verify_adjunction(f, R, S).holds
 
     def test_dense_random_5x5_grid(self):
