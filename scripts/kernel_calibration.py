@@ -61,7 +61,7 @@ def erosion_counts(r_gauss, r_banana):
     S = builtin_scenarios()["banana"].constraint_space(50)
     g = metric_pullback_check(S, r_gauss, (0.32, 0.34, 0.34))
     b = metric_pullback_check(S, r_banana, (0.32, 0.34, 0.34))
-    return len(g.eroded), len(b.eroded), b.accepted
+    return int(g.eroded.sum()), int(b.eroded.sum()), b.accepted
 
 
 def hdr_counts(delta1, seed, eval_N=160):
@@ -71,9 +71,9 @@ def hdr_counts(delta1, seed, eval_N=160):
     cloud = sample_kernel(spec, sc.hub)
     lattice = enumerate_simplex(2, eval_N)
     r20, r05 = hdr_regions(cloud, spec.sigma, (0.20, 0.05), lattice)
-    nested = set(r05.region) <= set(r20.region)
-    comps = len(lattice_components(r20.region))
-    return len(r20.region), len(r05.region), nested, comps
+    nested = not (r05.region & ~r20.region).any()
+    comps = len(lattice_components(lattice, r20.region))
+    return int(r20.region.sum()), int(r05.region.sum()), nested, comps
 
 
 def main():

@@ -268,7 +268,7 @@ def criterion_5():
     R_fp = build_relation(K, K, "turnover", kappa=0.5)
     left = compose_vertical(R_fp, R_g)
     right = compose_vertical(R_gp, R_f)
-    square_commutes = set(left.pairs) == set(right.pairs)
+    square_commutes = np.array_equal(left.mask(), right.mask())
     u4 = ValueFunction.from_callable(K, lambda w: -(w[0] - 0.5) ** 2)
     u2, u3 = bellman_lift(u4, R_gp, R_fp)
     f = build_constrained_reimpl(K, K, R_f, u2, name="f")
@@ -337,10 +337,10 @@ def criterion_7():
         rb = safety_radius(sample_kernel(bs.spec, bs.hub), bs.hub, 0.05).r
         if metric_pullback_check(S, rb, bs.hub).accepted:
             rejected_every_seed = False
-    ok = (abs(len(eg.eroded) - 798) <= 5 and abs(len(eb.eroded) - 700) <= 5
-          and not eb.accepted and rejected_every_seed)
-    return ok, (f"gaussian r={r_g:.4f} -> {len(eg.eroded)} eroded (want 798 +- 5); "
-                f"banana r={r_b:.4f} -> {len(eb.eroded)} eroded (want 700 +- 5); "
+    n_g, n_b = int(eg.eroded.sum()), int(eb.eroded.sum())
+    ok = abs(n_g - 798) <= 5 and abs(n_b - 700) <= 5 and not eb.accepted and rejected_every_seed
+    return ok, (f"gaussian r={r_g:.4f} -> {n_g} eroded (want 798 +- 5); "
+                f"banana r={r_b:.4f} -> {n_b} eroded (want 700 +- 5); "
                 f"banana hub rejected={not eb.accepted}, every seed={rejected_every_seed}")
 
 
@@ -417,14 +417,13 @@ def criterion_11():
     cloud = sample_kernel(sc.spec, sc.hub)
     lattice = enumerate_simplex(2, 160)
     r20, r05 = hdr_regions(cloud, sc.spec.sigma, (0.20, 0.05), lattice)
-    comps = lattice_components(r20.region)
-    nested = set(r05.region) <= set(r20.region)
-    c20_ok = abs(len(r20.region) - 40) <= 12
-    c05_ok = abs(len(r05.region) - 10) <= 3
-    ok = len(comps) >= 2 and nested and c20_ok and c05_ok
+    comps = lattice_components(lattice, r20.region)
+    nested = not (r05.region & ~r20.region).any()
+    n20, n05 = int(r20.region.sum()), int(r05.region.sum())
+    ok = len(comps) >= 2 and nested and abs(n20 - 40) <= 12 and abs(n05 - 10) <= 3
     return ok, (f"components={len(comps)} (>=2); nesting region(0.05) within "
-                f"region(0.20)={nested}; |region(0.20)|={len(r20.region)} "
-                f"(40 +- 30%); |region(0.05)|={len(r05.region)} (10 +- 30%)")
+                f"region(0.20)={nested}; |region(0.20)|={n20} "
+                f"(40 +- 30%); |region(0.05)|={n05} (10 +- 30%)")
 
 
 def criterion_12(instances: int = 210, seed: int = 11):

@@ -190,7 +190,7 @@ def cmd_kernel(args) -> int:
         amb = enumerate_simplex(len(hub) - 1, 50)
         S = restrict(amb, [parse_constraint(args.constraint, len(hub))])
         check = metric_pullback_check(S, rad.r, hub, ambient=amb)
-        payload["eroded_count"] = len(check.eroded)
+        payload["eroded_count"] = int(check.eroded.sum())
         payload["hub_accepted"] = check.accepted
     _emit(payload)
     return 0

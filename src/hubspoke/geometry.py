@@ -128,10 +128,6 @@ class LinearConstraint:
             out = lhs == rhs
         return np.asarray(out, dtype=bool)
 
-    def satisfied_by(self, point: GridPoint) -> bool:
-        """Exact verdict for one grid point (the one-row case of satisfied_by_holdings)."""
-        return bool(self.satisfied_by_holdings([point.coords], point.resolution)[0])
-
     def satisfied_by_rows(self, V: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
         """Tolerance check for continuous (off-lattice) weight vectors, one per row.
 
@@ -285,9 +281,6 @@ class LatticeSpace:
             raise InvalidArgument(f"{points[missing[0]]} is not a point of this space")
         return i
 
-    def index_of(self, p: GridPoint) -> int:
-        return int(self.indices_of([p])[0])
-
     # -- continuous vectors ------------------------------------------------
 
     def contains_vector(self, v: Sequence[float], tol: float = FLOAT_TOL) -> bool:
@@ -419,16 +412,6 @@ def restrict(space: LatticeSpace, constraints: Iterable[LinearConstraint]) -> La
         constraints=space.constraints + constraints,
         holdings=space.holdings[keep], explicit=space.explicit,
     )
-
-
-def contains(space: LatticeSpace, p: GridPoint) -> bool:
-    """Exact membership of a grid point in a space."""
-    if p.resolution != space.N or p.dimension != space.n:
-        raise InvalidArgument(
-            f"point ({p.dimension}, {p.resolution}) does not match "
-            f"space ({space.n}, {space.N})"
-        )
-    return bool(space.index_holdings([p.coords])[0] >= 0)
 
 
 def eval_functional(f: LinearFunctional, p: GridPoint) -> Fraction:

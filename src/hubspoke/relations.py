@@ -232,9 +232,6 @@ class Relation:
         y = np.asarray(y, dtype=float)
         return bool(self.test(x[None], y[None])[0, 0])
 
-    def contains(self, x: GridPoint, y: GridPoint) -> bool:
-        return self.contains_vectors(x.to_array(), y.to_array())
-
     def menu_mask(self, hub_mask: np.ndarray) -> np.ndarray:
         """For selected domain rows, which codomain points are hit by some hub.
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .geometry import (
     FLOAT_TOL,
-    GridPoint,
     InvalidArgument,
     LatticeSpace,
     LinearConstraint,
@@ -57,6 +56,11 @@ MAX_SAMPLES = 1_000_000
 # Hard cap on the distances of one lattice-scan cure (violating samples x |S|),
 # checked before the scan: about 10 s at 64 ns a distance (n <= 3).
 MAX_CURE_CELLS = 160_000_000
+
+# Hard cap on the cells of one erosion scan (|S| x violators x (n+1)), checked
+# before the scan, which runs in blocks of EROSION_BLOCK cells: about 11 s at 11 ns a cell.
+MAX_EROSION_CELLS = 1_000_000_000
+EROSION_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,11 @@ class SafetyRadius:
 
 @dataclass(frozen=True)
 class HdrResult:
-    """Superlevel set of the sample-cloud density at the threshold lambda_eps."""
+    """Superlevel set of the sample-cloud density at the threshold lambda_eps:
+    `region` is a read-only bool mask over the evaluation lattice."""
 
     lambda_eps: float
-    region: tuple[GridPoint, ...]
+    region: np.ndarray
     bandwidth: float
     mass: float          # sample fraction whose density clears the threshold
     point_mass: bool = False
@@ -237,7 +242,9 @@ def gaussian_radius_oracle(sigma: float, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class ErosionCheck:
-    eroded: tuple[GridPoint, ...]
+    """The eroded set as a read-only (len(S),) bool mask over S, and the hub verdict."""
+
+    eroded: np.ndarray
     accepted: bool
     hub_image: np.ndarray
     r: float
@@ -269,17 +276,23 @@ def metric_pullback_check(S: LatticeSpace, r: float, hub: Sequence[float],
 
     A constraint point survives erosion when every ambient lattice point
     within distance r of it also satisfies the constraints; the hub is
-    accepted when its (centered) image would survive the same test.
+    accepted when its (centered) image would survive the same test.  The
+    scan of S against the violators is refused above MAX_EROSION_CELLS.
     """
     hub = np.asarray(hub, dtype=np.float64)
     img = np.asarray(center_map.evaluate(hub) if center_map is not None else hub,
                      dtype=np.float64)
     viol, accepted = erosion_verdict(S, r, img, ambient)
-    if len(viol) == 0:
-        eroded = S.points
-    else:
-        d2 = ((S.array[:, None, :] - viol[None, :, :]) ** 2).sum(axis=2)
-        eroded = tuple(S.points[i] for i in np.nonzero(d2.min(axis=1) > r * r)[0])
+    if len(S) * viol.size > MAX_EROSION_CELLS:
+        raise InvalidArgument(f"erosion of {len(S)} points by {len(viol)} violators "
+                              f"exceeds the supported {MAX_EROSION_CELLS} cells")
+    eroded = np.ones(len(S), dtype=bool)
+    if len(viol):
+        rows = max(1, EROSION_BLOCK // viol.size)
+        for start in range(0, len(S), rows):
+            block = S.array[start:start + rows, None, :]
+            eroded[start:start + rows] = ((block - viol) ** 2).sum(axis=2).min(axis=1) > r * r
+    eroded.flags.writeable = False
     return ErosionCheck(eroded=eroded, accepted=accepted, hub_image=img, r=r)
 
 
@@ -362,8 +375,9 @@ def hdr_regions(cloud: SampleCloud, bandwidth: float, epsilons: Sequence[float],
     if spread <= 1e-12:
         # Degenerate cloud: report the nearest lattice point as a point mass.
         d2 = ((eval_lattice.array - cloud.samples[0]) ** 2).sum(axis=1)
-        pt = eval_lattice.points[int(np.argmin(d2))]
-        return [HdrResult(lambda_eps=float("inf"), region=(pt,), bandwidth=bandwidth,
+        region = np.arange(len(eval_lattice)) == np.argmin(d2)
+        region.flags.writeable = False
+        return [HdrResult(lambda_eps=float("inf"), region=region, bandwidth=bandwidth,
                           mass=1.0, point_mass=True) for _ in epsilons]
     dens_at_samples = kde_density(cloud.samples, cloud.samples, bandwidth)
     dens_at_grid = kde_density(cloud.samples, eval_lattice.array, bandwidth)
@@ -371,8 +385,8 @@ def hdr_regions(cloud: SampleCloud, bandwidth: float, epsilons: Sequence[float],
     for eps in epsilons:
         k = math.ceil((1.0 - eps) * len(dens_at_samples))
         lam = float(np.partition(dens_at_samples, k - 1)[k - 1])
-        region = tuple(eval_lattice.points[i]
-                       for i in np.nonzero(dens_at_grid >= lam)[0])
+        region = dens_at_grid >= lam
+        region.flags.writeable = False
         mass = float((dens_at_samples >= lam).mean())
         out.append(HdrResult(lambda_eps=lam, region=region, bandwidth=bandwidth, mass=mass))
     return out
@@ -385,25 +399,31 @@ def hdr(cloud: SampleCloud, bandwidth: float, epsilon: float,
     return result
 
 
-def lattice_components(points: Sequence[GridPoint]) -> list[set[GridPoint]]:
-    """Connected components under elementary lattice moves (one unit shifted
-    between two coordinates), ordered by their smallest point."""
-    points = tuple(points)
-    if not points:
-        return []
-    K = LatticeSpace.from_points(points[0].dimension, points[0].resolution, points)
-    E = np.eye(K.n + 1, dtype=np.int64)
-    moves = [K.index_holdings(K.holdings - E[i] + E[j])
-             for i, j in itertools.permutations(range(K.n + 1), 2)]
-    # each point takes the smallest label among its neighbors until none changes
-    label, changed = np.arange(len(K)), True
+def lattice_components(space: LatticeSpace, mask: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the masked points of a space under elementary
+    lattice moves (one unit shifted between two coordinates): read-only
+    (len(space),) bool masks, ordered by their first True index."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (len(space),):
+        raise InvalidArgument(f"a set of the space is a ({len(space)},) bool mask")
+    idx = np.flatnonzero(mask)
+    E = np.eye(space.n + 1, dtype=np.int64)
+    moves = []
+    for i, j in itertools.permutations(range(space.n + 1), 2):
+        nb = space.index_holdings(space.holdings[idx] - E[i] + E[j])
+        hit = (nb >= 0) & mask[nb]
+        moves.append((idx[hit], nb[hit]))
+    # each masked point takes the smallest index among its masked neighbors
+    # until none changes, which leaves a component labelled by its first point
+    label, changed = np.arange(len(space)), True
     while changed:
         new = label.copy()
-        for nb in moves:
-            x = np.flatnonzero(nb >= 0)
-            np.minimum.at(new, x, label[nb[x]])
+        for x, y in moves:
+            np.minimum.at(new, x, label[y])
         label, changed = new, not np.array_equal(new, label)
-    return [{K.points[i] for i in np.flatnonzero(label == r)} for r in np.unique(label)]
+    comps = mask & (label == np.unique(label[idx])[:, None])
+    comps.flags.writeable = False
+    return list(comps)
 
 
 @dataclass(frozen=True)
@@ -435,9 +455,9 @@ def hdr_pullback_check(cloud: SampleCloud, S: LatticeSpace, epsilon: float,
     bw = bandwidth if bandwidth is not None else cloud.spec.sigma
     lattice = eval_lattice if eval_lattice is not None else enumerate_simplex(S.n, S.N)
     region = hdr(cloud, bw, epsilon, lattice).region
-    robust = bool(S.contains_rows(np.asarray([p.to_array() for p in region])).all())
+    robust = bool(S.contains_rows(lattice.array[region]).all())
     return HdrCheck(mass=mass, verdict=verdict,
-                    robust_verdict=robust, region_size=len(region))
+                    robust_verdict=robust, region_size=int(region.sum()))
 
 
 def _halfspace_cure(samples: np.ndarray, c: LinearConstraint,

@@ -439,6 +439,26 @@ class TestStochasticCommands:
         code, out = run(capsys, "compare", "--scenario", "all", "--n", "500")
         assert code == 0 and len(json.loads(out)) == 3
 
+    def test_kernel_output_pinned(self, capsys):
+        code, out = run(capsys, "kernel", "--shape", "banana", "--hub", "0.32,0.34,0.34",
+                        "--constraint", "x1<=0.4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["eroded_count"] == 698 and payload["hub_accepted"] is False
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cb8dc5ee0df8c50f2a28fbebc677071999ba167e77783f1cad68607035174ac5")
+
+    def test_erosion_budget_exit_two(self, capsys, monkeypatch):
+        # x1 <= 0.4 at 1/50: 861 points against 465 violators, 3 coordinates each
+        monkeypatch.setattr("hubspoke.stochastic.MAX_EROSION_CELLS", 861 * 465 * 3 - 1)
+        code = main(["kernel", "--shape", "banana", "--hub", "0.32,0.34,0.34",
+                     "--constraint", "x1<=0.4", "--n", "500"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "erosion of 861 points by 465 violators exceeds the supported " \
+               "1201094 cells" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_kernel_enumerates_the_lattice_once(self, capsys, monkeypatch):
         import hubspoke.cli as cli
 

@@ -158,7 +158,7 @@ def per_hub_determinize(K, R, alpha):
     chosen = []
     for x in menu.points:
         fiber_pts = sorted(R.codomain.points[j]
-                           for j in np.flatnonzero(mask[R.domain.index_of(x)]))
+                           for j in np.flatnonzero(mask[R.domain.indices_of([x])[0]]))
         if not fiber_pts:
             raise Infeasible(f"empty fiber at hub {x}")
         norms = [alpha * float((p.to_array() ** 2).sum()) for p in fiber_pts]
@@ -186,7 +186,7 @@ class TestDeterminize:
         f = determinize_relation(hub, track, alpha=1.0)
         mask = track.mask()
         for p in hub.points[::17]:
-            fiber = amb.array[mask[amb.index_of(p)]]
+            fiber = amb.array[mask[amb.index_holdings([p.coords])[0]]]
             assert float((f.evaluate(p) ** 2).sum()) == pytest.approx(
                 float((fiber ** 2).sum(axis=1).min()))
 

@@ -18,7 +18,6 @@ from hubspoke.geometry import (
     LinearConstraint,
     LinearFunctional,
     _as_fraction,
-    contains,
     enumerate_simplex,
     eval_functional,
     expected_simplex_size,
@@ -105,29 +104,30 @@ class TestRestrict:
     def test_every_point_satisfies_stored_constraints(self):
         amb = enumerate_simplex(2, 30)
         sub = restrict(amb, [c("x1<=0.35"), c("x3>=0.1")])
-        for p in sub.points:
-            assert all(k.satisfied_by(p) for k in sub.constraints)
+        for k in sub.constraints:
+            assert k.satisfied_by_holdings(sub.holdings, sub.N).all()
 
 
 class TestContains:
     def test_boundary_inclusion(self):
         # a <=-constraint keeps its boundary (closedness)
         hub = restrict(enumerate_simplex(2, 100), [c("x1<=0.6")])
-        assert contains(hub, GridPoint((60, 40, 0), 100))
+        assert hub.index_holdings([[60, 40, 0]])[0] >= 0
 
     def test_violation_by_one_step(self):
         hub = restrict(enumerate_simplex(2, 100), [c("x1<=0.6")])
-        assert not contains(hub, GridPoint((61, 30, 9), 100))
+        assert hub.index_holdings([[61, 30, 9]])[0] == -1
 
     def test_ambient_contains_everything(self):
         amb = enumerate_simplex(2, 10)
-        for p in amb.points:
-            assert contains(amb, p)
+        assert amb.index_holdings(amb.holdings).tolist() == list(range(len(amb)))
 
     def test_resolution_mismatch(self):
+        # the holdings of a 1/20 point are no point of the 1/10 lattice
         amb = enumerate_simplex(2, 10)
+        assert amb.index_holdings([[5, 5, 10]])[0] == -1
         with pytest.raises(InvalidArgument):
-            contains(amb, GridPoint((5, 5, 10), 20))
+            amb.indices_of([GridPoint((5, 5, 10), 20)])
 
 
 def contains_vector_oracle(space, v, tol=FLOAT_TOL):
@@ -470,7 +470,7 @@ class TestHoldingsCore:
         expected = [satisfied_by_oracle(k, p) for p in amb.points]
         got = k.satisfied_by_holdings(amb.holdings, N)
         assert got.dtype == bool and got.tolist() == expected
-        assert [k.satisfied_by(p) for p in amb.points] == expected
+        assert [bool(k.satisfied_by_holdings(h[None], N)[0]) for h in amb.holdings] == expected
         assert restrict(amb, [k]).points == tuple(
             p for p, e in zip(amb.points, expected) if e)
 
@@ -491,7 +491,7 @@ class TestHoldingsCore:
         with pytest.raises(InvalidArgument):
             k.satisfied_by_holdings(np.zeros((2, 2), dtype=np.int64), 10)
         with pytest.raises(InvalidArgument):
-            k.satisfied_by(GridPoint((1, 1), 2))
+            k.satisfied_by_holdings([[1, 1]], 2)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(0, 3), N=st.integers(1, 9))
@@ -518,12 +518,11 @@ class TestHoldingsCore:
         assert space.index_vectors(V).tolist() == want
         assert space.index_vectors(V + 0.5 / N).tolist() == [-1] * len(V)
         for p in amb.points:
-            assert contains(space, p) == (p.coords in oracle)
             if p.coords in oracle:
-                assert space.index_of(p) == oracle[p.coords]
+                assert space.indices_of([p]).tolist() == [oracle[p.coords]]
             else:
                 with pytest.raises(InvalidArgument):
-                    space.index_of(p)
+                    space.indices_of([p])
         assert space.index_holdings(C[:, :n]).tolist() == [-1] * len(C)
 
     def test_index_rejects_wrong_width_points(self):

@@ -103,10 +103,11 @@ class TestConstrainedReimpl:
         mask = R.mask()
         for i, p in enumerate(K.points[::9]):
             y = f.evaluate(p)
-            row = np.nonzero(mask[K.index_of(p)])[0]
+            row = np.nonzero(mask[K.index_holdings([p.coords])[0]])[0]
             fiber_vals = u.values()[row]
-            chosen = u.values()[K.index_of(
-                GridPoint(tuple(int(round(c * 10)) for c in y), 10))]
+            (j,) = K.index_vectors(y[None])
+            assert j >= 0
+            chosen = u.values()[j]
             assert abs(chosen - fiber_vals.max()) < 1e-12
             assert float(np.abs(p.to_array() - y).sum()) <= 0.3 + 1e-9
 
@@ -116,7 +117,7 @@ class TestConstrainedReimpl:
         u = ValueFunction.from_callable(K, lambda w: w[2])
         f = build_constrained_reimpl(K, K, R, u)
         g = graph_of(f)
-        assert all(R.contains(x, y) for x, y in g.pairs)
+        assert all(R.contains_vectors(x.to_array(), y.to_array()) for x, y in g.pairs)
 
     def test_domain_shrinks_to_dom_R(self):
         K = enumerate_simplex(1, 6)

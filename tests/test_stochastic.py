@@ -15,6 +15,7 @@ from hubspoke.geometry import (
 )
 from hubspoke.optimize import identity_map
 from hubspoke.relations import build_relation, explicit_relation
+from hubspoke import stochastic
 from hubspoke.stochastic import (
     KDE_BLOCK,
     MAX_SAMPLES,
@@ -65,6 +66,39 @@ def components_oracle(points):
                     frontier.append(gp)
         comps.append(comp)
     return comps
+
+
+def erosion_oracle(S, r, viol):
+    """The one-shot scan of S against all violators that the blocked scan replaced."""
+    if len(viol) == 0:
+        return np.ones(len(S), dtype=bool)
+    d2 = ((S.array[:, None, :] - viol[None, :, :]) ** 2).sum(axis=2)
+    return d2.min(axis=1) > r * r
+
+
+def test_stochastic_sets_build_no_grid_point(monkeypatch):
+    built = []
+    real = GridPoint.__post_init__
+    monkeypatch.setattr(GridPoint, "__post_init__",
+                        lambda self: built.append(self.coords) or real(self))
+    amb = enumerate_simplex(2, 50)
+    S = restrict(amb, [parse_constraint("x1<=0.4", 3)])
+    check = metric_pullback_check(S, 0.0737, (0.3, 0.35, 0.35), ambient=amb)
+    sc = builtin_scenarios(n_samples=1000)["split_peak"]
+    cloud = sample_kernel(sc.spec, sc.hub)
+    lattice = enumerate_simplex(2, 80)
+    r20, _ = hdr_regions(cloud, 0.03, (0.20, 0.05), lattice)
+    comps = lattice_components(lattice, r20.region)
+    point = SampleCloud(hub=np.asarray(HUB), samples=np.tile(np.asarray(HUB), (100, 1)),
+                        spec=KernelSpec(n_samples=100))
+    (mass,) = hdr_regions(point, 0.03, (0.1,), lattice)
+    robust = hdr_pullback_check(cloud, S, 0.20, eval_lattice=lattice)
+    assert check.eroded.sum() == 798 and len(comps) >= 2
+    assert mass.point_mass and robust.region_size > 0
+    assert not any(m.flags.writeable for m in (check.eroded, r20.region, mass.region, *comps))
+    assert built == []
+    GridPoint((1, 0, 0), 1)
+    assert built == [(1, 0, 0)]
 
 
 class TestProjection:
@@ -193,13 +227,39 @@ class TestErosionDilation:
     def test_zero_radius_is_identity(self):
         S = restrict(enumerate_simplex(2, 20), [parse_constraint("x1<=0.4", 3)])
         check = metric_pullback_check(S, 0.0, (0.2, 0.4, 0.4))
-        assert set(check.eroded) == set(S.points)
+        assert check.eroded.shape == (len(S),) and check.eroded.all()
         assert check.accepted
 
     def test_published_erosion_counts(self):
         S = restrict(enumerate_simplex(2, 50), [parse_constraint("x1<=0.4", 3)])
-        assert len(metric_pullback_check(S, 0.0737, (0.3, 0.35, 0.35)).eroded) == 798
-        assert len(metric_pullback_check(S, 0.1330, (0.3, 0.35, 0.35)).eroded) == 698
+        assert metric_pullback_check(S, 0.0737, (0.3, 0.35, 0.35)).eroded.sum() == 798
+        assert metric_pullback_check(S, 0.1330, (0.3, 0.35, 0.35)).eroded.sum() == 698
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), N=st.integers(1, 12), cap=st.integers(0, 12),
+           r=st.floats(0, 0.6), block=st.sampled_from([1, 5, 64, 2**20]))
+    def test_blocked_scan_matches_one_shot_oracle(self, n, N, cap, r, block):
+        amb = enumerate_simplex(n, N)
+        S = restrict(amb, [parse_constraint(f"x1<={min(cap, N)}/{N}", n + 1)])
+        viol = amb.array[S.index_holdings(amb.holdings) < 0]
+        old = stochastic.EROSION_BLOCK
+        stochastic.EROSION_BLOCK = block
+        try:
+            check = metric_pullback_check(S, r, amb.array[len(amb) // 2], ambient=amb)
+        finally:
+            stochastic.EROSION_BLOCK = old
+        assert check.eroded.dtype == bool and not check.eroded.flags.writeable
+        assert np.array_equal(check.eroded, erosion_oracle(S, r, viol))
+
+    def test_scan_budget_counts_cells(self, monkeypatch):
+        amb = enumerate_simplex(2, 20)
+        S = restrict(amb, [parse_constraint("x1<=0.4", 3)])
+        cells = len(S) * (len(amb) - len(S)) * 3
+        monkeypatch.setattr(stochastic, "MAX_EROSION_CELLS", cells)
+        assert metric_pullback_check(S, 0.1, (0.3, 0.35, 0.35)).eroded.sum() > 0
+        monkeypatch.setattr(stochastic, "MAX_EROSION_CELLS", cells - 1)
+        with pytest.raises(InvalidArgument, match=f"supported {cells - 1} cells"):
+            metric_pullback_check(S, 0.1, (0.3, 0.35, 0.35))
 
     def test_banana_hub_rejected(self):
         sc = builtin_scenarios()["banana"]
@@ -213,7 +273,7 @@ class TestErosionDilation:
         for r in (0.0, 0.05, 0.2):
             a = metric_pullback_check(S, r, (0.3, 0.35, 0.35))
             b = metric_pullback_check(S, r, (0.3, 0.35, 0.35), ambient=amb)
-            assert (a.eroded, a.accepted) == (b.eroded, b.accepted)
+            assert np.array_equal(a.eroded, b.eroded) and a.accepted == b.accepted
 
     def test_ambient_must_be_the_full_lattice(self):
         S = restrict(enumerate_simplex(2, 20), [parse_constraint("x1<=0.4", 3)])
@@ -228,7 +288,7 @@ class TestErosionDilation:
         R = explicit_relation(K, K, pairs)
         dilated = metric_pushforward(f, R, 0.15)
         for x, z in pairs:
-            assert dilated.contains(x, z)
+            assert dilated.contains_vectors(x.to_array(), z.to_array())
         assert len(dilated.pairs) > len(pairs)
 
     def test_zero_radius_dilation_is_lattice_pushforward(self):
@@ -246,11 +306,10 @@ class TestErosionDilation:
         S = build_relation(K, K, "track", epsilon=0.45)
         r = 0.1
         dilated = metric_pushforward(f, R, r)
-        if all(S.contains(y, z) for y, z in dilated.pairs):
-            viol = np.asarray([not S.contains(y, z)
-                               for z in K.points for y in K.points])
+        if all(S.contains_vectors(y.to_array(), z.to_array()) for y, z in dilated.pairs):
             for x, z in R.pairs:
-                bad = [y for y in K.points if not S.contains(y, z)]
+                bad = [y for y in K.points
+                       if not S.contains_vectors(y.to_array(), z.to_array())]
                 if bad:
                     dmin = min(np.linalg.norm(x.to_array() - y.to_array())
                                for y in bad)
@@ -328,31 +387,47 @@ class TestHdr:
         lattice = enumerate_simplex(2, 50)
         r05 = hdr(cloud, 0.03, 0.05, lattice)
         r20 = hdr(cloud, 0.03, 0.20, lattice)
-        assert set(r05.region) <= set(r20.region)
+        assert not (r05.region & ~r20.region).any()
         assert r05.lambda_eps >= r20.lambda_eps
 
     def test_bimodal_splits_into_components(self):
         sc = builtin_scenarios()["split_peak"]
         cloud = sample_kernel(sc.spec, sc.hub)
-        region = hdr(cloud, 0.03, 0.20, enumerate_simplex(2, 160)).region
-        assert len(lattice_components(region)) >= 2
+        lattice = enumerate_simplex(2, 160)
+        region = hdr(cloud, 0.03, 0.20, lattice).region
+        assert len(lattice_components(lattice, region)) >= 2
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 3), N=st.integers(1, 8), data=st.data())
     def test_components_match_neighbor_walk_oracle(self, n, N, data):
         amb = enumerate_simplex(n, N)
-        keep = data.draw(st.lists(st.booleans(), min_size=len(amb), max_size=len(amb)))
-        region = [p for p, k in zip(amb.points, keep) if k]
-        got = lattice_components(region)
-        assert {frozenset(c) for c in got} == {frozenset(c) for c in components_oracle(region)}
-        assert [min(c) for c in got] == sorted(min(c) for c in got)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(amb),
+                                           max_size=len(amb))), dtype=bool)
+        got = lattice_components(amb, keep)
+        assert all(m.dtype == bool and m.shape == (len(amb),) and not m.flags.writeable
+                   for m in got)
+        as_sets = {frozenset(amb.points[i] for i in np.flatnonzero(m)) for m in got}
+        oracle = components_oracle([p for p, k in zip(amb.points, keep) if k])
+        assert len(got) == len(as_sets) and as_sets == {frozenset(c) for c in oracle}
+        first = [int(np.argmax(m)) for m in got]
+        assert first == sorted(first)
+
+    def test_components_take_a_bool_mask_over_the_space(self):
+        amb = enumerate_simplex(2, 4)
+        assert lattice_components(amb, np.zeros(len(amb), dtype=bool)) == []
+        for bad in (np.ones(len(amb) - 1, dtype=bool), np.ones(len(amb), dtype=int)):
+            with pytest.raises(InvalidArgument):
+                lattice_components(amb, bad)
 
     def test_degenerate_cloud_point_mass(self):
         spec = KernelSpec(sigma=1e-12, n_samples=100, seed=1)
         samples = np.tile(np.asarray(HUB), (100, 1))
         cloud = SampleCloud(hub=np.asarray(HUB), samples=samples, spec=spec)
-        res = hdr(cloud, 0.03, 0.1, enumerate_simplex(2, 20))
-        assert res.point_mass and len(res.region) == 1
+        lattice = enumerate_simplex(2, 20)
+        res = hdr(cloud, 0.03, 0.1, lattice)
+        nearest = np.argmin(((lattice.array - np.asarray(HUB)) ** 2).sum(axis=1))
+        assert res.point_mass and np.flatnonzero(res.region).tolist() == [nearest]
+        assert not res.region.flags.writeable
 
     @pytest.mark.parametrize("seed", [42, 3])
     def test_shared_densities_match_separate_calls(self, seed):
@@ -368,8 +443,8 @@ class TestHdr:
             lam = np.sort(at_samples)[math.ceil((1 - eps) * len(at_samples)) - 1]
             assert a.lambda_eps.hex() == b.lambda_eps.hex() == float(lam).hex()
             assert a.mass.hex() == b.mass.hex()
-            assert a.region == b.region
-            assert a.region == tuple(lattice.points[i] for i in np.flatnonzero(at_grid >= lam))
+            assert np.array_equal(a.region, b.region)
+            assert np.array_equal(a.region, at_grid >= lam) and not a.region.flags.writeable
 
     def test_shared_path_checks_every_epsilon(self):
         cloud = sample_kernel(KernelSpec(n_samples=200, seed=1), HUB)
@@ -397,6 +472,24 @@ class TestHdrPullback:
         S = restrict(enumerate_simplex(2, 20), [parse_constraint("x1<=0.9", 3)])
         check = hdr_pullback_check(cloud, S, 0.05)
         assert check.verdict and check.mass > 0.999
+
+    def test_robust_verdict_matches_per_point_oracle(self):
+        sc = builtin_scenarios(n_samples=1000)["gaussian"]
+        cloud = sample_kernel(sc.spec, sc.hub)
+        lattice = enumerate_simplex(2, 100)
+        region = hdr(cloud, 0.03, 0.5, lattice).region
+        pts = [p for p, k in zip(lattice.points, region) if k]
+        # the gathered rows are the bits of the per-point weight vectors
+        assert lattice.array[region].tobytes() == np.array([p.to_array() for p in pts]).tobytes()
+        verdicts = set()
+        for cap in ("x1<=0.5", "x1<=0.45", "x1<=0.4"):
+            S = restrict(lattice, [parse_constraint(cap, 3)])
+            check = hdr_pullback_check(cloud, S, 0.5, eval_lattice=lattice)
+            assert check.region_size == len(pts)
+            want = all(S.contains_vector(p.to_array()) for p in pts)
+            assert check.robust_verdict == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_budget_composition_on_sampled_chain(self):
         # two-stage acceptance at (delta, eps) implies composite acceptance

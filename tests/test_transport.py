@@ -66,7 +66,7 @@ class TestPullback:
         for x in hub.points:
             for z in spoke.points:
                 want = (x.coords[0] + x.coords[1]) / 10 <= 2 * z.coords[0] / 10 + 1e-9
-                assert pb.contains(x, z) == want
+                assert pb.contains_vectors(x.to_array(), z.to_array()) == want
 
     def test_pullback_of_empty(self):
         K = enumerate_simplex(1, 5)
