@@ -278,15 +278,16 @@ def workflow_b(registry: Registry, ledger: EvidenceLedger,
     committed = [e for e in ledger.entries()
                  if e.workflow == "A" and e.verdict == "committed"
                  and e.hub is not None and e.spoke is not None]
-    violations = []
-    for e in committed:
-        spoke = np.asarray(e.spoke)
-        if new_rel.screen is not None:
-            ok = new_rel.contains_vectors(spoke, spoke)
-        else:
-            ok = new_rel.contains_vectors(np.asarray(e.hub), spoke)
-        if not ok:
-            violations.append(e.seq)
+    try:
+        spokes = np.array([e.spoke for e in committed], dtype=float).reshape(
+            len(committed), new_rel.codomain.n + 1)
+        hubs = spokes if new_rel.screen is not None else np.array(
+            [e.hub for e in committed], dtype=float).reshape(len(committed), new_rel.domain.n + 1)
+    except ValueError:
+        raise InvalidArgument(f"a committed ledger entry does not have the assets of "
+                              f"{new_rel.describe()}") from None
+    ok = new_rel.contains_rows(hubs, spokes)
+    violations = [e.seq for e, good in zip(committed, ok) if not good]
     swept_violations = None
     if full_sweep:
         rows = np.arange(len(base))

@@ -28,9 +28,22 @@ SENSES = ("<=", "==", ">=")
 
 FLOAT_TOL = 1e-9
 
+# Cells per row block of a quadratic scan: its float64 temporaries stay a few MB.
+BLOCK_CELLS = 1 << 20
+
 
 class InvalidArgument(ValueError):
     """Raised when inputs violate a documented precondition."""
+
+
+def _row_blocks(rows: int, row_cells: int, limit=None, what="scan") -> list[slice]:
+    """Slices covering range(rows) (at least one) of about BLOCK_CELLS cells
+    each, a row costing row_cells; a scan of more than `limit` cells in all
+    is refused before any block is built."""
+    if limit is not None and rows * row_cells > limit:
+        raise InvalidArgument(f"{what} exceeds the supported {limit} cells")
+    step = max(1, BLOCK_CELLS // max(row_cells, 1))
+    return [slice(s, s + step) for s in range(0, max(rows, 1), step)]
 
 
 def _as_fraction(x) -> Fraction:

@@ -25,10 +25,9 @@ from .geometry import (
     InvalidArgument,
     LatticeSpace,
     LinearFunctional,
+    _row_blocks,
 )
 from .relations import Relation, _attr_matrix
-
-_BLOCK_CELLS = 1 << 20      # cells per row block of a scan: temporaries of a few MB
 
 
 class Infeasible(ValueError):
@@ -265,23 +264,21 @@ def build_metric_reimpl(K1: LatticeSpace, K2: LatticeSpace,
         penalty = np.zeros(len(K2))
     A = (gA[None] @ K1.array[:, :, None])[:, :, 0]     # (P, k), row i is gA @ x_i
     img = np.empty(len(K1), dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // B.size)
-    for start in range(0, len(K1), step):
-        diff = B[None] - A[start:start + step, None]
+    for s in _row_blocks(len(K1), B.size):
+        diff = B[None] - A[s, None]
         if spec.norm == "L2":
             dist = np.sqrt((diff ** 2).sum(axis=2))
         else:
             dist = np.abs(diff).sum(axis=2)
-        img[start:start + step] = np.argmin(dist ** spec.p + penalty, axis=1)
+        img[s] = np.argmin(dist ** spec.p + penalty, axis=1)
     return ReimplMap(K1, K2, "lattice_argmin", img=img, name=name)
 
 
 def _over_fibers(op, mask: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """op(axis=1) over each row's fiber of finite values, in row blocks;
     non-members read -inf, so op=np.argmax picks the first best member."""
-    step = max(1, _BLOCK_CELLS // max(mask.shape[1], 1))
-    return np.concatenate([op(np.where(mask[s:s + step], vals, -np.inf), axis=1)
-                           for s in range(0, max(len(mask), 1), step)])
+    return np.concatenate([op(np.where(mask[s], vals, -np.inf), axis=1)
+                           for s in _row_blocks(len(mask), mask.shape[1])])
 
 
 def build_constrained_reimpl(K1: LatticeSpace, K2: LatticeSpace,

@@ -20,7 +20,8 @@ incidence mask and menu actions scatter the domain holdings over D and
 look the results up among the codomain points, at a cost of |hubs| x |D|
 lookups instead of |hubs| x |codomain| float tests.  D is built on first
 use, and only when its bounding box (2r+1)^n is no larger than the
-codomain; otherwise `test` is streamed over codomain chunks.
+codomain; otherwise they come from `test`, whose broadcast rules all run
+in the row blocks of `geometry._row_blocks`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     FLOAT_TOL,
     GridPoint,
@@ -38,16 +40,16 @@ from .geometry import (
     LatticeSpace,
     LinearConstraint,
     LinearFunctional,
+    _row_blocks,
     lattice_rows,
 )
 
 # Guards on materialization: the boolean incidence mask is cheap (one byte
 # per candidate pair), the tuple pair list is not.  The DOTS action path
-# streams in chunks and needs neither.
+# runs in row blocks and needs neither.
 MASK_LIMIT = 50_000_000
 PAIR_LIMIT = 5_000_000
 
-_CHUNK = 256
 # (hub, offset) pairs per block of the stencil scatter: the (pairs, d)
 # int64 holdings block and its lookup temporaries stay a few MB.
 _SCATTER_PAIRS = 1 << 16
@@ -73,15 +75,19 @@ def _attr_matrix(g, dim: int) -> np.ndarray:
     return m
 
 
+def _by_rows(rule: Test, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(|X|, |Y|) bool: the broadcast rule(X, Y), applied to row blocks of X."""
+    out = np.empty((len(X), len(Y)), dtype=bool)
+    for s in _row_blocks(len(X), Y.size):
+        out[s] = rule(X[s], Y)
+    return out
+
+
 def _same(X: np.ndarray, Y: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
     """(|X|, |Y|) bool: row pairs within tol in every coordinate."""
-    out = np.zeros((len(X), len(Y)), dtype=bool)
     if X.shape[1:] != Y.shape[1:]:
-        return out
-    step = max(1, 2_000_000 // max(Y.size, 1))
-    for s in range(0, len(X), step):
-        out[s:s + step] = np.abs(X[s:s + step, None, :] - Y[None, :, :]).max(axis=2) <= tol
-    return out
+        return np.zeros((len(X), len(Y)), dtype=bool)
+    return _by_rows(lambda A, B: np.abs(A[:, None, :] - B[None]).max(axis=2) <= tol, X, Y)
 
 
 class Relation:
@@ -193,17 +199,14 @@ class Relation:
                     "use the action/menu path for large relations"
                 )
             X, Y = self.domain.array, self.codomain.array
-            out = np.zeros((len(X), len(Y)), dtype=bool)
             if self.stencil is not None:
+                out = np.zeros((len(X), len(Y)), dtype=bool)
                 for i, j in self._scatter(np.arange(len(X))):
                     out[i, j] = True
                 if self.screen:
                     out &= self._passes
             else:
-                # chunk rows so the (P, Q, d) broadcast intermediates stay small
-                step = max(1, 2_000_000 // max(len(Y), 1))
-                for start in range(0, len(X), step):
-                    out[start:start + step] = self.test(X[start:start + step], Y)
+                out = np.ascontiguousarray(self.test(X, Y))
             self._mask = out
         return self._mask
 
@@ -228,18 +231,23 @@ class Relation:
 
     def contains_vectors(self, x: Sequence[float], y: Sequence[float]) -> bool:
         """Membership of one pair of (possibly off-lattice) weight vectors."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return bool(self.test(x[None], y[None])[0, 0])
+        return bool(self.contains_rows([x], [y])[0])
+
+    def contains_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Membership of each row pair (X[i], Y[i]): (M,) bool, the diagonal of
+        `test` on row blocks of X and Y.  A block tests b x b pairs for b
+        verdicts, so a row is charged BLOCK_CELLS / 64 cells: 64 rows a block."""
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        return np.concatenate([np.diagonal(self.test(X[s], Y[s])) for s in
+                               _row_blocks(len(X), geometry.BLOCK_CELLS // 64)])
 
     def menu_mask(self, hub_mask: np.ndarray) -> np.ndarray:
         """For selected domain rows, which codomain points are hit by some hub.
 
         Reads the cached mask when there is one.  A relation with a stencil
         hits the hub holdings plus each offset that are codomain points
-        and pass the screen, if any.  Otherwise `test` is streamed over
-        codomain chunks, so big menus never materialize the full incidence
-        mask.
+        and pass the screen, if any.  Otherwise `test` runs over row blocks
+        of the hubs, so big menus never materialize the full incidence mask.
         """
         if self._mask is not None:
             return self._mask[hub_mask].any(axis=0)
@@ -250,10 +258,8 @@ class Relation:
                 hit[j] = True
             return hit & self._passes if self.screen else hit
         X = self.domain.array[hub_mask]
-        if len(X):
-            for start in range(0, len(Y), _CHUNK):
-                block = slice(start, start + _CHUNK)
-                hit[block] = self.test(X, Y[block]).any(axis=0)
+        for s in _row_blocks(len(X), Y.size):
+            hit |= self.test(X[s], Y).any(axis=0)
         return hit
 
     # -- misc ----------------------------------------------------------------
@@ -280,8 +286,8 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
     liquidity_cap(alpha, illiquid)   projector {(y,y): sum_{i in I} y_i <= alpha}
     position_caps(caps)         projector {(y,y): y_i <= c_i}
     maintenance(kappa, costs)   projector {(y,y): sum tau_i y_i <= kappa}
-    custom(mask_fn)             mask_fn(X, Y) is the vectorized rule, used
-                                as `test`
+    custom(mask_fn)             mask_fn(X, Y) is the vectorized rule; `test`
+                                applies it to row blocks of X
 
     A projector's screen is exact on lattice points (module docstring).
     """
@@ -294,10 +300,9 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
         if gA.shape[0] != gB.shape[0]:
             raise InvalidArgument("attribute maps must target the same space")
 
-        def test(X, Y, gA=gA, gB=gB, eps=eps):
-            A, B = X @ gA.T, Y @ gB.T
-            d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-            return d2 <= (eps + FLOAT_TOL) ** 2
+        def test(X, Y, gA=gA, gB=gB, bound=(eps + FLOAT_TOL) ** 2):
+            return _by_rows(lambda A, B: ((A[:, None, :] - B[None]) ** 2).sum(axis=2) <= bound,
+                            X @ gA.T, Y @ gB.T)
 
         rule = None
         identity = np.eye(domain.n + 1)
@@ -317,9 +322,9 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
         if domain.n != codomain.n:
             raise InvalidArgument("turnover relates spaces over the same assets")
 
-        def test(X, Y, kappa=kappa):
-            d = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
-            return d <= kappa + FLOAT_TOL
+        def test(X, Y, bound=kappa + FLOAT_TOL):
+            return _by_rows(lambda A, B: np.abs(A[:, None, :] - B[None]).sum(axis=2) <= bound,
+                            X, Y)
 
         # ||delta||_1 <= reach in holdings units; delta sums to 0, so its
         # positive and negative parts each sum to at most reach / 2
@@ -336,7 +341,8 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
         if params.get("mask_fn") is None:
             raise InvalidArgument("a custom relation needs a vectorized mask_fn(X, Y); "
                                   "per-pair predicates are not supported")
-        return Relation(domain, codomain, "custom", params, params["mask_fn"])
+        return Relation(domain, codomain, "custom", params,
+                        lambda X, Y, rule=params["mask_fn"]: _by_rows(rule, X, Y))
 
     raise InvalidArgument(f"unknown relation kind {kind!r}")
 

@@ -27,6 +27,7 @@ from .geometry import (
     InvalidArgument,
     LatticeSpace,
     LinearConstraint,
+    _row_blocks,
     enumerate_simplex,
     expected_simplex_size,
     parse_constraint,
@@ -53,14 +54,11 @@ KDE_BLOCK = 2**16
 # Hard cap on the samples of one cloud, checked before anything is drawn.
 MAX_SAMPLES = 1_000_000
 
-# Hard cap on the distances of one lattice-scan cure (violating samples x |S|),
-# checked before the scan: about 10 s at 64 ns a distance (n <= 3).
-MAX_CURE_CELLS = 160_000_000
-
-# Hard cap on the cells of one erosion scan (|S| x violators x (n+1)), checked
-# before the scan, which runs in blocks of EROSION_BLOCK cells: about 11 s at 11 ns a cell.
+# Hard caps on the cells of one scan, checked before it starts.  A lattice-scan
+# cure has violating samples x |S| x (n+1) cells, about 10 s at 21 ns a cell;
+# an erosion |S| x violators x (n+1), about 11 s at 11 ns a cell.
+MAX_CURE_CELLS = 480_000_000
 MAX_EROSION_CELLS = 1_000_000_000
-EROSION_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -283,15 +281,10 @@ def metric_pullback_check(S: LatticeSpace, r: float, hub: Sequence[float],
     img = np.asarray(center_map.evaluate(hub) if center_map is not None else hub,
                      dtype=np.float64)
     viol, accepted = erosion_verdict(S, r, img, ambient)
-    if len(S) * viol.size > MAX_EROSION_CELLS:
-        raise InvalidArgument(f"erosion of {len(S)} points by {len(viol)} violators "
-                              f"exceeds the supported {MAX_EROSION_CELLS} cells")
-    eroded = np.ones(len(S), dtype=bool)
-    if len(viol):
-        rows = max(1, EROSION_BLOCK // viol.size)
-        for start in range(0, len(S), rows):
-            block = S.array[start:start + rows, None, :]
-            eroded[start:start + rows] = ((block - viol) ** 2).sum(axis=2).min(axis=1) > r * r
+    eroded = np.empty(len(S), dtype=bool)
+    for s in _row_blocks(len(S), viol.size, MAX_EROSION_CELLS,
+                         f"erosion of {len(S)} points by {len(viol)} violators"):
+        eroded[s] = (((S.array[s, None, :] - viol) ** 2).sum(axis=2) > r * r).all(axis=1)
     eroded.flags.writeable = False
     return ErosionCheck(eroded=eroded, accepted=accepted, hub_image=img, r=r)
 
@@ -304,11 +297,9 @@ def metric_pushforward(f, R, r: float):
     if r < 0:
         raise InvalidArgument("radius must be non-negative")
     Y, F = f.codomain.array, f.images
-    near = np.zeros((len(Y), len(F)), dtype=bool)     # y within r of f(x)
-    step = max(1, 2_000_000 // max(F.size, 1))
-    for s in range(0, len(Y), step):
-        d2 = ((Y[s:s + step, None, :] - F[None, :, :]) ** 2).sum(axis=2)
-        near[s:s + step] = d2 <= (r + FLOAT_TOL) ** 2
+    near = np.empty((len(Y), len(F)), dtype=bool)     # y within r of f(x)
+    for s in _row_blocks(len(Y), F.size):
+        near[s] = ((Y[s, None, :] - F[None, :, :]) ** 2).sum(axis=2) <= (r + FLOAT_TOL) ** 2
     # float counts: a sum of non-negative terms is never rounded to 0
     hit = (near.astype(np.float32) @ R.mask().astype(np.float32)) > 0
     return Relation.from_mask(f.codomain, R.codomain, hit)
@@ -448,14 +439,14 @@ def hdr_pullback_check(cloud: SampleCloud, S: LatticeSpace, epsilon: float,
                        eval_lattice: Optional[LatticeSpace] = None) -> HdrCheck:
     """Chance-constraint verdict: P(sample in S) >= 1 - eps.
 
-    Also reports the robust (geometric) verdict: the density region lying
-    entirely inside S.
+    Also reports the robust (geometric) verdict: the density region is
+    non-empty and lies entirely inside S.  An empty region certifies nothing.
     """
     mass, verdict = chance_constraint(cloud, S, epsilon)
     bw = bandwidth if bandwidth is not None else cloud.spec.sigma
     lattice = eval_lattice if eval_lattice is not None else enumerate_simplex(S.n, S.N)
     region = hdr(cloud, bw, epsilon, lattice).region
-    robust = bool(S.contains_rows(lattice.array[region]).all())
+    robust = bool(region.any() and S.contains_rows(lattice.array[region]).all())
     return HdrCheck(mass=mass, verdict=verdict,
                     robust_verdict=robust, region_size=int(region.sum()))
 
@@ -484,16 +475,11 @@ def _halfspace_cure(samples: np.ndarray, c: LinearConstraint,
 
 def _lattice_cure(bad: np.ndarray, S: LatticeSpace, w: np.ndarray) -> np.ndarray:
     """min over the points y of S of sum_i w_i |x_i - y_i|, per row x of bad,
-    scanned in blocks of 256 rows; refused above MAX_CURE_CELLS distances."""
-    if len(bad) * len(S) > MAX_CURE_CELLS:
-        raise InvalidArgument(f"lattice cure of {len(bad)} violating samples x {len(S)} "
-                              f"points exceeds the supported {MAX_CURE_CELLS} distances")
-    target = S.array
+    scanned in row blocks; refused above MAX_CURE_CELLS cells."""
     vals = np.empty(len(bad))
-    for start in range(0, len(bad), 256):
-        block = bad[start:start + 256]
-        d = (np.abs(block[:, None, :] - target[None, :, :]) * w).sum(axis=2)
-        vals[start:start + 256] = d.min(axis=1)
+    for s in _row_blocks(len(bad), S.array.size, MAX_CURE_CELLS,
+                         f"lattice cure of {len(bad)} violating samples x {len(S)} points"):
+        vals[s] = (np.abs(bad[s, None, :] - S.array[None]) * w).sum(axis=2).min(axis=1)
     return vals
 
 

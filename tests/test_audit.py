@@ -15,6 +15,7 @@ from hubspoke.audit import (
     workflow_c,
 )
 from hubspoke.geometry import InvalidArgument, LinearFunctional, parse_constraint
+from hubspoke.relations import relation_from_dict
 
 FEE = LinearFunctional((10, 5, 0), units="bps")
 
@@ -231,6 +232,57 @@ class TestWorkflowB:
         assert 0 < swept < len(hub)
         assert entry.metrics["swept_violations"] == swept
         assert entry.metrics["menu_count"] == menu
+
+    @pytest.mark.parametrize("rel", [
+        {"kind": "fee_cap", "params": {"tau": 6.0, "functional": FEE.to_dict()},
+         "domain": "amb", "codomain": "amb"},
+        {"kind": "position_caps", "params": {"caps": [0.45, 0.5, 0.6]},
+         "domain": "amb", "codomain": "amb"},
+        {"kind": "track", "params": {"epsilon": 0.06}, "domain": "hub", "codomain": "amb"},
+        {"kind": "turnover", "params": {"kappa": 0.12}, "domain": "hub", "codomain": "amb"},
+    ])
+    def test_reverification_matches_the_per_entry_loop(self, tmp_path, rel):
+        # a map that shrinks toward the barycenter: tracking 0.1 commits
+        # the hubs near it and rejects those near the faces
+        reg = seeded_registry()
+        reg.put("hmorphisms", "shrink", {
+            "rule": "affine", "matrix": (0.7 * np.eye(3)).tolist(), "offset": [0.1] * 3,
+            "domain": "hub", "codomain": "amb", "name": "shrink"})
+        led = EvidenceLedger(str(tmp_path / "l.jsonl"), clock=FixedClock())
+        for x in reg.space("hub").array[::4]:
+            workflow_a(reg, led, "shrink", "r_track", x)
+        entries = led.entries()
+        assert {e.verdict for e in entries} == {"committed", "rejected"}
+        new_rel = relation_from_dict(reg.space(rel["domain"]), reg.space(rel["codomain"]), rel)
+        want = []
+        for e in entries:
+            if e.verdict != "committed":
+                continue
+            x = np.asarray(e.spoke if new_rel.screen is not None else e.hub)
+            if not new_rel.test(x[None], np.asarray(e.spoke)[None])[0, 0]:
+                want.append(e.seq)
+        entry = workflow_b(reg, led, rel, hub_object="hub")
+        assert 0 < len(want) < entry.metrics["reverified"]
+        assert entry.metrics["violating_entries"] == want
+
+    @pytest.mark.parametrize("rel", [
+        {"kind": "fee_cap", "params": {"tau": 6.0, "functional": FEE.to_dict()},
+         "domain": "amb", "codomain": "amb"},
+        {"kind": "track", "params": {"epsilon": 0.06}, "domain": "hub", "codomain": "amb"},
+    ])
+    def test_entries_of_other_assets_are_refused(self, tmp_path, rel):
+        reg = seeded_registry()
+        reg.put("objects", "wide", {"n": 3, "N": 20, "constraints": []})
+        reg.put("hmorphisms", "f4", {
+            "rule": "affine", "matrix": np.eye(4).tolist(), "offset": [0] * 4,
+            "domain": "wide", "codomain": "wide", "name": "f4"})
+        reg.put("vmorphisms", "r4", {"kind": "turnover", "params": {"kappa": 0.1},
+                                     "domain": "wide", "codomain": "wide"})
+        led = EvidenceLedger(str(tmp_path / "l.jsonl"), clock=FixedClock())
+        workflow_a(reg, led, "f1", "r_track", (0.3, 0.5, 0.2))
+        workflow_a(reg, led, "f4", "r4", (0.25, 0.25, 0.25, 0.25))
+        with pytest.raises(InvalidArgument, match="does not have the assets"):
+            workflow_b(reg, led, rel, hub_object="hub")
 
     def test_swept_violations_only_on_full_sweep(self, tmp_path):
         reg = seeded_registry()

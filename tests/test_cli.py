@@ -299,13 +299,13 @@ class TestMenuAndMaps:
         def refuse(*a, **kw):
             raise AssertionError("snapped past the budget")
 
-        monkeypatch.setattr("hubspoke.dots.MAX_MIX_PAIRS", 195 * 176 - 1)
+        monkeypatch.setattr("hubspoke.dots.MAX_MIX_CELLS", 195 * 176 * 3 - 1)
         monkeypatch.setattr("hubspoke.dots.snap_rows", refuse)
         code = main(["menu", "--template", "core-satellite", "--w", "0.5",
                      "--inputs", *self._core_satellite_inputs(tmp_path, 20)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "exceeds the supported 34319 pairs" in captured.err
+        assert "exceeds the supported 102959 cells" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_fee_cap_just_below_a_lattice_value(self, capsys, tmp_path):
@@ -423,12 +423,12 @@ class TestStochasticCommands:
 
     def test_lattice_cure_budget_exit_two(self, capsys, monkeypatch):
         # every sample of the default hub violates x1 + x2 <= 0.5, whose
-        # 1/100 lattice has 1326 points: 200 x 1326 distances
-        monkeypatch.setattr("hubspoke.stochastic.MAX_CURE_CELLS", 200 * 1326 - 1)
+        # 1/100 lattice has 1326 points: 200 x 1326 x 3 cells
+        monkeypatch.setattr("hubspoke.stochastic.MAX_CURE_CELLS", 200 * 1326 * 3 - 1)
         code = main(["cure", "--constraint", "1,1,0<=0.5", "--n", "200"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "exceeds the supported 265199 distances" in captured.err
+        assert "exceeds the supported 795599 cells" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_compare_computes_no_density(self, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubspoke.geometry import (
+    BLOCK_CELLS,
     FLOAT_TOL,
     MAX_DIMENSION,
     MAX_POINTS,
@@ -18,6 +19,7 @@ from hubspoke.geometry import (
     LinearConstraint,
     LinearFunctional,
     _as_fraction,
+    _row_blocks,
     enumerate_simplex,
     eval_functional,
     expected_simplex_size,
@@ -559,3 +561,90 @@ class TestHoldingsCore:
         space = LatticeSpace.from_points(2, 3, pts)
         assert space.points == tuple(sorted(set(pts)))
         assert LatticeSpace.from_points(2, 3, []).holdings.shape == (0, 3)
+
+
+class TestRowBlocks:
+    def test_slices_cover_the_rows(self):
+        for rows, row_cells in ((0, 3), (1, 0), (7, 1 << 18), (10, 1 << 21), (5000, 300)):
+            blocks = _row_blocks(rows, row_cells)
+            step = blocks[0].stop
+            assert all(s.stop - s.start == step for s in blocks)
+            assert step * row_cells <= max(BLOCK_CELLS, row_cells)
+            covered = np.concatenate([np.arange(rows)[s] for s in blocks])
+            assert np.array_equal(covered, np.arange(rows))
+
+    def test_budget_counts_rows_times_row_cells(self):
+        assert len(_row_blocks(4, 5, limit=20, what="probe")) == 1
+        with pytest.raises(InvalidArgument, match="^probe exceeds the supported 19 cells$"):
+            _row_blocks(4, 5, limit=19, what="probe")
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), N=st.integers(1, 12), cap=st.integers(0, 12),
+           r=st.floats(0, 0.6), block=st.sampled_from([1, 5, 64, 2**20]),
+           seed=st.integers(0, 2**16))
+    def test_every_scan_matches_its_one_shot_broadcast(self, n, N, cap, r, block, seed):
+        from hubspoke import geometry, optimize, relations
+        from hubspoke.dots import WiringTemplate, apply_template
+        from hubspoke.stochastic import _lattice_cure, metric_pullback_check, metric_pushforward
+
+        rng = np.random.default_rng(seed)
+        d = n + 1
+        amb = enumerate_simplex(n, N)
+        S = restrict(amb, [parse_constraint(f"x1<={min(cap, N)}/{N}", d)])
+        X, Y = amb.array, S.array
+        gA, gB = rng.normal(size=(2, d)), rng.normal(size=(2, d))
+        A, B = X @ gA.T, Y @ gB.T
+        track = ((A[:, None] - B[None]) ** 2).sum(axis=2) <= (r + FLOAT_TOL) ** 2
+        turnover = np.abs(X[:, None] - Y[None]).sum(axis=2) <= 2 * r + FLOAT_TOL
+        same = np.abs(X[:, None] - Y[None]).max(axis=2) <= FLOAT_TOL
+        custom = lambda P, Q: ((P[:, None] - Q[None]) ** 2).sum(axis=2) <= r * r
+        hubs = rng.random(len(X)) < 0.5
+        viol = X[S.index_holdings(amb.holdings) < 0]
+        vals, w = rng.normal(size=len(Y)), rng.random(d) + 0.5
+        u = optimize.objective_function({"kind": "linear", "coeffs": rng.normal(size=2)})
+        spec = optimize.ObjectiveSpec(gA=gA, gB=gB, u=u, p=1.5, lam=0.3)
+        mix_w = float(rng.random())
+
+        old = geometry.BLOCK_CELLS
+        geometry.BLOCK_CELLS = block
+        try:
+            R = lambda: relations.build_relation(amb, S, "track", epsilon=r, gA=gA, gB=gB)
+            assert R().stencil is None
+            got_track, got_mask, got_menu = R().test(X, Y), R().mask(), R().menu_mask(hubs)
+            got_turnover = relations.build_relation(amb, S, "turnover", kappa=2 * r).test(X, Y)
+            got_custom = relations.build_relation(amb, S, "custom", mask_fn=custom).test(X, Y)
+            got_same = relations._same(X, Y)
+            f = optimize.build_metric_reimpl(amb, S, spec)
+            got_argmax = optimize._over_fibers(np.argmax, track, vals)
+            got_max = optimize._over_fibers(np.max, track, vals)
+            check = metric_pullback_check(S, r, X[len(X) // 2], ambient=amb)
+            got_near = metric_pushforward(f, R(), r).mask()
+            got_cure = _lattice_cure(viol, S, w)
+            got_mix = apply_template(WiringTemplate.core_satellite(mix_w, S), [amb, S]).mask
+        finally:
+            geometry.BLOCK_CELLS = old
+
+        assert np.array_equal(got_track, track) and np.array_equal(got_mask, track)
+        assert np.array_equal(got_menu, track[hubs].any(axis=0))
+        assert np.array_equal(got_turnover, turnover)
+        assert np.array_equal(got_custom, custom(X, Y))
+        assert np.array_equal(got_same, same)
+        dist = (np.sqrt(((B[None] - A[:, None]) ** 2).sum(axis=2)) ** spec.p
+                - spec.lam * u(B))
+        assert np.array_equal(f.img, np.argmin(dist, axis=1))
+        fibers = np.where(track, vals, -np.inf)
+        assert np.array_equal(got_argmax, np.argmax(fibers, axis=1))
+        assert np.array_equal(got_max, np.max(fibers, axis=1))
+        eroded = (((Y[:, None] - viol[None]) ** 2).sum(axis=2).min(axis=1) > r * r
+                  if len(viol) else np.ones(len(Y), dtype=bool))
+        assert check.eroded.dtype == bool and not check.eroded.flags.writeable
+        assert np.array_equal(check.eroded, eroded)
+        F = f.images
+        near = ((Y[:, None] - F[None]) ** 2).sum(axis=2) <= (r + FLOAT_TOL) ** 2
+        assert np.array_equal(got_near, (near.astype(np.float32)
+                                         @ track.astype(np.float32)) > 0)
+        assert np.array_equal(got_cure,
+                              (np.abs(viol[:, None] - Y[None]) * w).sum(axis=2).min(axis=1))
+        mix = mix_w * X[:, None] + (1.0 - mix_w) * Y[None]
+        i = S.index_holdings(snap_rows(mix.reshape(-1, d), N))
+        assert np.array_equal(got_mix, np.isin(np.arange(len(S)), i))

@@ -614,3 +614,58 @@ class TestExactScreen:
             assert R.menu_mask(one)[i] == admitted
             assert R.mask()[i, i] == admitted
         assert _float_screen(kind, params(1e-10))(y[None])[0]
+
+
+# -- row-wise membership -------------------------------------------------------
+
+
+class TestContainsRows:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), N=st.integers(2, 10),
+           block=st.sampled_from([1, 5, 64, 2**20]),
+           kind=st.sampled_from(["track", "track_attr", "turnover", "fee_cap",
+                                 "position_caps", "diagonal", "explicit", "custom",
+                                 "dagger", "intersect"]))
+    def test_matches_the_per_pair_loop(self, seed, N, block, kind):
+        from hubspoke import geometry
+
+        rng = np.random.default_rng(seed)
+        amb = enumerate_simplex(2, N)
+        hub = restrict(amb, [parse_constraint("x1<=0.6", 3)])
+        eps = float(rng.uniform(0, 0.5))
+        R = {
+            "track": lambda: build_relation(hub, amb, "track", epsilon=eps),
+            "track_attr": lambda: build_relation(hub, amb, "track", epsilon=eps,
+                                                 gA=rng.normal(size=(2, 3)),
+                                                 gB=rng.normal(size=(2, 3))),
+            "turnover": lambda: build_relation(hub, amb, "turnover", kappa=eps),
+            "fee_cap": lambda: build_relation(amb, amb, "fee_cap", tau=10 * eps,
+                                              functional=FEE),
+            "position_caps": lambda: build_relation(amb, amb, "position_caps",
+                                                    caps=rng.random(3)),
+            "diagonal": lambda: diagonal(amb),
+            "explicit": lambda: Relation.from_mask(hub, amb,
+                                                   rng.random((len(hub), len(amb))) < 0.3),
+            "custom": lambda: build_relation(hub, amb, "custom",
+                                             mask_fn=lambda X, Y: X[:, [1]] >= Y[None, :, 0]),
+            "dagger": lambda: dagger(build_relation(hub, amb, "track", epsilon=eps)),
+            "intersect": lambda: intersect(build_relation(hub, amb, "track", epsilon=eps),
+                                           build_relation(hub, amb, "turnover", kappa=eps)),
+        }[kind]()
+        M = int(rng.integers(0, 60))
+        X = R.domain.array[rng.integers(0, len(R.domain), M)]
+        Y = R.codomain.array[rng.integers(0, len(R.codomain), M)]
+        if kind in ("fee_cap", "position_caps", "diagonal"):
+            Y = X.copy()
+        off = rng.random(M) < 0.3           # some rows leave the lattice
+        X[off] += rng.normal(scale=1e-3, size=(int(off.sum()), 3))
+        Y[off] += rng.normal(scale=1e-3, size=(int(off.sum()), 3))
+        want = np.array([R.test(x[None], y[None])[0, 0] for x, y in zip(X, Y)], dtype=bool)
+        old = geometry.BLOCK_CELLS
+        geometry.BLOCK_CELLS = block
+        try:
+            got = R.contains_rows(X, Y)
+        finally:
+            geometry.BLOCK_CELLS = old
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert [R.contains_vectors(x, y) for x, y in zip(X, Y)] == want.tolist()
