@@ -6,11 +6,13 @@ full lattice under two random attributes (seed 0), R is tracking 0.05
 from the hub and S is turnover 0.1 on the full lattice.  The probe runs
 pullback(f, S), the adjunction, Frobenius and, with g the metric map of
 the full lattice into itself under two other attributes, functoriality
-with its pullback dual.  Each case runs in a fresh process, so its peak
-is its own: the interpreter and numpy, the set-up and the check.  A line
-gives the case, the check's wall time, the process's peak RSS and a
-digest of the result (the sha256 prefix of the pullback mask, or of the
-LawReport's JSON), so two versions of the code can be compared.
+with its pullback dual.  The lax and strict Beck-Chevalley cases check
+CommutingSquare(g=f, fp=g.f, f=g, h=id) against S, which lives on g's
+domain.  Each case runs in a fresh process, so its peak is its own: the
+interpreter and numpy, the set-up and the check.  A line gives the case,
+the check's wall time, the process's peak RSS and a digest of the result
+(the sha256 prefix of the pullback mask, or of the LawReport's JSON), so
+two versions of the code can be compared.
 
 Run:  python scripts/desk_laws.py
 """
@@ -24,17 +26,20 @@ import time
 import numpy as np
 
 from hubspoke.geometry import enumerate_simplex, parse_constraint, restrict
-from hubspoke.optimize import ObjectiveSpec, build_metric_reimpl
+from hubspoke.optimize import ObjectiveSpec, build_metric_reimpl, compose_maps, identity_map
 from hubspoke.relations import build_relation
 from hubspoke.transport import (
+    CommutingSquare,
     pullback,
     verify_adjunction,
     verify_frobenius,
     verify_functoriality,
+    verify_lax_bc,
+    verify_strict_bc,
 )
 
 RESOLUTIONS = (50, 100)
-CASES = ("pullback", "adjunction", "frobenius", "functoriality")
+CASES = ("pullback", "adjunction", "frobenius", "functoriality", "lax_bc", "strict_bc")
 
 
 def probe(N, case):
@@ -45,9 +50,10 @@ def probe(N, case):
     f = build_metric_reimpl(hub, amb, ObjectiveSpec(gA=G, gB=G), name="f")
     R = build_relation(hub, amb, "track", epsilon=0.05)
     S = build_relation(amb, amb, "turnover", kappa=0.1)
-    if case == "functoriality":
+    if case in ("functoriality", "lax_bc", "strict_bc"):
         H = rng.normal(size=(2, 3))
         g = build_metric_reimpl(amb, amb, ObjectiveSpec(gA=H, gB=H), name="g")
+        square = CommutingSquare(g=f, fp=compose_maps(g, f), f=g, h=identity_map(amb))
     t0 = time.perf_counter()
     if case == "pullback":
         out = pullback(f, S).mask()
@@ -55,8 +61,12 @@ def probe(N, case):
         out = verify_adjunction(f, R, S)
     elif case == "frobenius":
         out = verify_frobenius(f, R, S)
-    else:
+    elif case == "functoriality":
         out = verify_functoriality(f, g, R, S=S)
+    elif case == "lax_bc":
+        out = verify_lax_bc(square, S)
+    else:
+        out = verify_strict_bc(square, S)
     dt = time.perf_counter() - t0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if case == "pullback":

@@ -18,11 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    InvalidArgument,
-    LatticeSpace,
-    grid_point_from_vector,
-)
+from .geometry import InvalidArgument, LatticeSpace
 from .optimize import ReimplMap, ValueFunction, build_constrained_reimpl, objective_function
 from .relations import Relation, relation_from_dict
 from .dots import Menu, action
@@ -237,19 +233,17 @@ def workflow_a(registry: Registry, ledger: EvidenceLedger,
     f = registry.map(map_id)
     R = registry.relation(relation_id)
     t0 = time.perf_counter()
-    x = grid_point_from_vector(hub, f.domain.N)
-    if f.domain.index_holdings([x.coords])[0] < 0:
+    i = f.domain.index_vectors(np.asarray(hub, dtype=float).reshape(1, -1))[0]
+    if i < 0:
         raise InvalidArgument(f"hub {list(hub)} is not in the map's domain")
-    y = f.evaluate(x)
-    ok = R.contains_vectors(x.to_array(), y)
+    x, y = f.domain.array[i], f.images[i]
+    ok = R.contains_vectors(x, y)
     latency_ms = (time.perf_counter() - t0) * 1000.0
     metrics = {"check_ms": round(latency_ms, 3),
-               "l1_turnover": float(np.abs(x.to_array() - y).sum())
-               if len(y) == len(x.coords) else None,
-               "l2_distance": float(np.linalg.norm(x.to_array() - y))
-               if len(y) == len(x.coords) else None}
+               "l1_turnover": float(np.abs(x - y).sum()) if len(y) == len(x) else None,
+               "l2_distance": float(np.linalg.norm(x - y)) if len(y) == len(x) else None}
     return ledger.append("A", "committed" if ok else "rejected",
-                         hub=x.to_array(), spoke=y, relation_id=relation_id,
+                         hub=x, spoke=y, relation_id=relation_id,
                          metrics={k: v for k, v in metrics.items() if v is not None})
 
 
@@ -309,12 +303,11 @@ def workflow_c(registry: Registry, ledger: EvidenceLedger,
     u_fn = objective_function(objective)
     u = ValueFunction.from_callable(R.codomain, lambda v: float(u_fn(v.reshape(1, -1))[0]))
     f = build_constrained_reimpl(R.domain, R.codomain, R, u, name=map_id)
-    image = f.image_points()
+    image = R.codomain.holdings[np.unique(f.img)].tolist()
     # K_new: the constructed spoke object (finite, hence closed).
     rel_def = registry.get("vmorphisms", relation_id)
     registry.put("objects", new_object_id, {
-        "n": R.codomain.n, "N": R.codomain.N,
-        "points": [list(p.coords) for p in image],
+        "n": R.codomain.n, "N": R.codomain.N, "points": image,
     })
     registry.put("hmorphisms", map_id, {
         "rule": "constrained_argmax", "relation": relation_id,

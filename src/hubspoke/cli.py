@@ -172,11 +172,18 @@ def cmd_menu(args) -> int:
     return 0
 
 
+def _parse_hub(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidArgument(f"--hub {text!r} is not comma-separated weights") from None
+
+
 def _cloud_from_args(args):
     seed = _env_seed(args.seed)
     spec = KernelSpec(shape=args.shape, sigma=args.sigma,
                       n_samples=args.n, seed=seed)
-    hub = tuple(float(v) for v in args.hub.split(","))
+    hub = _parse_hub(args.hub)
     return spec, hub, sample_kernel(spec, hub)
 
 
@@ -233,7 +240,7 @@ def cmd_workflow(args) -> int:
     ledger = EvidenceLedger(args.ledger)
     try:
         if args.kind == "a":
-            hub = tuple(float(v) for v in args.hub.split(","))
+            hub = _parse_hub(args.hub)
             entry = run_workflow("A", registry, ledger, map_id=args.map,
                                  relation_id=args.relation, hub=hub)
         elif args.kind == "b":

@@ -437,16 +437,6 @@ def eval_functional(f: LinearFunctional, p: GridPoint) -> Fraction:
     return sum((c * k for c, k in zip(f.coeffs, p.coords)), Fraction(0)) / p.resolution
 
 
-def grid_point_from_vector(v: Sequence[float], N: int, tol: float = FLOAT_TOL) -> GridPoint:
-    """Recover the GridPoint a float vector denotes, or fail if off-lattice."""
-    v = np.asarray(v, dtype=float)
-    scaled = v * N
-    coords = np.rint(scaled)
-    if np.max(np.abs(scaled - coords)) > tol * N:
-        raise InvalidArgument(f"{v.tolist()} is not on the 1/{N} lattice")
-    return GridPoint(tuple(int(c) for c in coords), N)
-
-
 def snap_rows(V: np.ndarray, N: int) -> np.ndarray:
     """Nearest lattice holdings in L2 of each weight-vector row of V: (M, d) int64.
 

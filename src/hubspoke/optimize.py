@@ -128,9 +128,9 @@ class ReimplMap:
       composite(parts)         left-to-right chaining.
 
     `evaluate_rows(V)` maps the weight vectors in the rows of V (an affine
-    row has the bits of `matrix @ v + offset`), and `images` holds the
-    images of the domain points; `evaluate`, `image_points` and
-    `is_lattice_valued` are views of these.
+    row has the bits of `matrix @ v + offset`), `images` holds the images
+    of the domain points and `img` the codomain point index each denotes;
+    `evaluate`, `image_points` and `is_lattice_valued` are views of these.
     """
 
     def __init__(self, domain: LatticeSpace, codomain: LatticeSpace,
@@ -208,24 +208,22 @@ class ReimplMap:
         return self.evaluate_rows(v[None])[0]
 
     @cached_property
-    def _image_holdings(self) -> Optional[np.ndarray]:
-        """Integer holdings of the images, or None if one is not within
-        FLOAT_TOL of a point of the codomain's lattice."""
-        N = self.codomain.N
-        C = np.rint(self.images * N)
-        on = ((np.abs(self.images * N - C) <= FLOAT_TOL * N).all()
-              and (C >= 0).all() and (C.sum(axis=1) == N).all())
-        return C.astype(np.int64) if on else None
+    def img(self) -> np.ndarray:
+        """(P,) read-only codomain point index of each image, or -1 where an
+        image does not denote a codomain point (`LatticeSpace.index_vectors`)."""
+        out = self.codomain.index_vectors(self.images)
+        out.flags.writeable = False
+        return out
 
     def is_lattice_valued(self) -> bool:
-        return self._image_holdings is not None
+        return bool((self.img >= 0).all())
 
     def image_points(self) -> tuple[GridPoint, ...]:
         """Image of the domain lattice, as grid points (lattice-valued maps only)."""
-        if self._image_holdings is None:
+        if not self.is_lattice_valued():
             raise InvalidArgument(f"map {self.name} has images off its codomain's lattice")
-        return tuple(GridPoint(row, self.codomain.N)
-                     for row in map(tuple, np.unique(self._image_holdings, axis=0).tolist()))
+        return tuple(GridPoint(row, self.codomain.N) for row in
+                     map(tuple, self.codomain.holdings[np.unique(self.img)].tolist()))
 
 
 def identity_map(space: LatticeSpace) -> ReimplMap:

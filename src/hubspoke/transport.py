@@ -1,11 +1,13 @@
 """Pullback/pushforward of alignment relations and the coherence-law harness.
 
-Pushforwards carry continuous image points, so results are pair sets: arrays
-of distinct left and right vectors (equal when rounded to 9 decimals, one
-vectorized np.unique per side) and a boolean mask of the pairs between them.
-Every equality law is verified with both sides built from the same hub
-enumeration, which keeps float comparisons bitwise-stable; membership tests
-through a relation's or a pair set's `test` use the tolerance instead.
+Pushforwards carry continuous image points, so results are pair sets: left
+(hub-side) vectors, distinct when rounded to 9 decimals (one np.unique),
+right (spoke-side) points of one lattice space by index, and a boolean
+mask of the pairs.  Every equality law is verified with both sides built
+from the same hub enumeration, which keeps float comparisons bitwise-stable;
+membership tests use the tolerance on left vectors and point lookups on
+lattice points, so the Beck-Chevalley checks, whose squares are
+lattice-valued, match images by point index (`ReimplMap.img`).
 """
 
 from __future__ import annotations
@@ -34,38 +36,43 @@ def _merge_rows(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of V that agree when rounded, merged: one representative per
     rounded row, ascending, with the OR of the matching rows of M.  The
     representative is the last row of its group."""
-    if not len(V):
-        return V, M
     keys, inv = np.unique(np.round(V, _KEY_DECIMALS), axis=0, return_inverse=True)
     inv = inv.reshape(-1)
-    order = np.argsort(inv, kind="stable")
-    ends = np.cumsum(np.bincount(inv, minlength=len(keys)))
-    starts = np.concatenate([[0], ends[:-1]])
-    return V[order[ends - 1]], np.logical_or.reduceat(M[order], starts, axis=0)
+    last = np.zeros(len(keys), dtype=np.intp)
+    np.maximum.at(last, inv, np.arange(len(V)))
+    merged = np.zeros((len(keys), M.shape[1]), dtype=bool)
+    np.logical_or.at(merged, inv, M)
+    return V[last], merged
 
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
-    """A finite set of (left-vector, right-vector) pairs.
+    """A finite set of (left-vector, right-point) pairs.
 
-    `left` (A, d) and `right` (B, e) hold distinct vectors in ascending
-    rounded order, and `mask[i, j]` says whether (left[i], right[j]) is a
-    pair; no row or column of `mask` is empty.
+    `left` (A, d) holds distinct vectors in ascending rounded order; the
+    right side is the lattice points `space.array[cols]`, with `cols`
+    ascending point indices of `space`.  `mask[i, j]` says whether
+    (left[i], right[j]) is a pair; no row or column of `mask` is empty.
     """
 
     left: np.ndarray
-    right: np.ndarray
+    space: LatticeSpace
+    cols: np.ndarray
     mask: np.ndarray
 
     @classmethod
-    def from_mask(cls, left, right, mask) -> "PairSet":
-        """The pairs (left[i], right[j]) at the true cells of mask, in canonical form."""
-        left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
-        rows, cols = mask.any(axis=1), mask.any(axis=0)
-        left, mask = _merge_rows(left[rows], mask[rows][:, cols])
-        right, mask_t = _merge_rows(right[cols], mask.T)
-        return cls(left, right, np.ascontiguousarray(mask_t.T))
+    def from_mask(cls, left, space: LatticeSpace, mask, cols=None) -> "PairSet":
+        """The pairs (left[i], point cols[j] of space) at the true cells of
+        mask, in canonical form; cols defaults to every point of space."""
+        left, mask = np.asarray(left, dtype=float), np.asarray(mask, dtype=bool)
+        cols = np.arange(len(space)) if cols is None else np.asarray(cols)
+        rows, used = mask.any(axis=1), mask.any(axis=0)
+        left, mask = _merge_rows(left[rows], mask[np.ix_(rows, used)])
+        return cls(left, space, cols[used], mask)
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.space.array[self.cols]
 
     def __len__(self):
         return int(self.mask.sum())
@@ -83,16 +90,25 @@ class PairSet:
         _, L, R = (x.tolist() for x in self._canonical())
         return {(tuple(L[i]), tuple(R[j])) for i, j in zip(*np.nonzero(self.mask))}
 
-    def test(self, X: np.ndarray, Y: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
-        """(|X|, |Y|) bool: (x, y) lies within tol of a pair, coordinatewise."""
-        # float counts: a sum of non-negative terms is never rounded to 0
-        hits = _same(X, self.left, tol).astype(np.float32) @ self.mask.astype(np.float32)
-        return (hits @ _same(Y, self.right, tol).T.astype(np.float32)) > 0
+    def test(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """(|X|, |Y|) bool: x lies within FLOAT_TOL of a left vector,
+        coordinatewise, paired with the right point that y denotes."""
+        col = np.full(len(self.space) + 1, -1)   # index -1 (no point) reads the spare -1
+        col[self.cols] = np.arange(len(self.cols))
+        k = col[self.space.index_vectors(Y)]
+        x, a = np.nonzero(_same(X, self.left))
+        hit = np.zeros((len(X), len(self.cols)), dtype=bool)
+        np.logical_or.at(hit, x, self.mask[a])      # OR of the mask rows x matches
+        out = np.zeros((len(X), len(Y)), dtype=bool)
+        out[:, k >= 0] = hit[:, k[k >= 0]]
+        return out
 
-    def witnesses_not_in(self, other: "PairSet", tol: float = FLOAT_TOL) -> list:
-        """The first MAX_WITNESSES pairs, in rounded order, with no pair of other within tol."""
-        i, j = np.nonzero(self.mask & ~other.test(self.left, self.right, tol))
-        return [(tuple(self.left[a].tolist()), tuple(self.right[b].tolist()))
+    def witnesses_not_in(self, other: "PairSet") -> list:
+        """The first MAX_WITNESSES pairs, in rounded order, that are not
+        members of other (its `test`)."""
+        right = self.right
+        i, j = np.nonzero(self.mask & ~other.test(self.left, right))
+        return [(tuple(self.left[a].tolist()), tuple(right[b].tolist()))
                 for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES])]
 
 
@@ -139,30 +155,27 @@ def pullback(f: ReimplMap, S: Relation) -> Relation:
 
 
 def pushforward(f: ReimplMap, R: Relation) -> PairSet:
-    """f_!R = {(f(x), z): (x, z) in R}, deduplicated at tolerance.
-
-    The result may contain off-lattice first components, so it is a pair
-    set rather than a lattice relation: R's rows grouped by the image of
-    their hub and OR-reduced per group.
-    """
+    """f_!R = {(f(x), z): (x, z) in R}: R's rows OR-ed per image of their hub
+    (images equal to 9 decimals are one).  Images may leave the lattice, so
+    the result is a pair set rather than a lattice relation."""
     if not f.domain.same_points(R.domain):
         raise InvalidArgument("pushforward: f must start at R's domain")
-    return PairSet.from_mask(f.images, R.codomain.array, R.mask())
+    return PairSet.from_mask(f.images, R.codomain, R.mask())
 
 
 def _within(pairs: PairSet, S: Relation) -> PairSet:
     """The pairs of a pair set that are members of S."""
-    return PairSet.from_mask(pairs.left, pairs.right,
-                             pairs.mask & S.test(pairs.left, pairs.right))
+    return PairSet.from_mask(pairs.left, pairs.space,
+                             pairs.mask & S.test(pairs.left, pairs.right), pairs.cols)
 
 
-def pushforward_contains(f: ReimplMap, R: Relation, y, z,
-                         tol: float = FLOAT_TOL) -> bool:
-    """Membership (y, z) in f_!R: exists x with f(x) = y and (x, z) in R."""
+def pushforward_contains(f: ReimplMap, R: Relation, y, z) -> bool:
+    """Membership (y, z) in f_!R: exists x with f(x) = y within FLOAT_TOL,
+    and (x, z) in R, z being the codomain point it denotes."""
     zv = z.to_array() if isinstance(z, GridPoint) else z
-    xs = _same(f.images, np.asarray(y, dtype=float)[None], tol)[:, 0]
-    zs = _same(R.codomain.array, np.asarray(zv, dtype=float)[None], tol)[:, 0]
-    return bool(R.mask()[np.ix_(xs, zs)].any())
+    j = R.codomain.index_vectors(np.asarray(zv, dtype=float)[None])[0]
+    xs = _same(f.images, np.asarray(y, dtype=float)[None])[:, 0]
+    return bool(j >= 0 and R.mask()[xs, j].any())
 
 
 def verify_adjunction(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
@@ -199,7 +212,7 @@ def verify_functoriality(f: ReimplMap, g: ReimplMap, R: Relation,
     direct = pushforward(gf, R)
     inner = pushforward(f, R)
     # Push the intermediate pair set through g (g must accept its vectors).
-    staged = PairSet.from_mask(g.evaluate_rows(inner.left), inner.right, inner.mask)
+    staged = PairSet.from_mask(g.evaluate_rows(inner.left), inner.space, inner.mask, inner.cols)
     holds = direct == staged
     detail = {}
     if S is not None:
@@ -250,18 +263,16 @@ def _require_lattice_valued(square: CommutingSquare):
     in the square must send lattice points to lattice points."""
     for m in (square.g, square.fp, square.f, square.h):
         if not m.is_lattice_valued():
-            raise InvalidArgument(
-                f"map {m.name} has off-lattice images; BC verification "
-                "requires lattice-valued squares"
-            )
+            raise InvalidArgument(f"map {m.name} has off-lattice images; BC verification "
+                                  "requires lattice-valued squares")
 
 
 def _late_audit_pairs(square: CommutingSquare, R: Relation) -> PairSet:
-    """h*(f_! R) enumerated over K_C x Z (vectorized membership)."""
-    # match[c, b]: h(y_c) equals f(y_b) within tolerance
-    match = _same(square.h.images, square.f.images)
-    member = (match.astype(np.float32) @ R.mask().astype(np.float32)) > 0  # (|C|, |Z|)
-    return PairSet.from_mask(square.h.domain.array, R.codomain.array, member)
+    """h*(f_! R) enumerated over K_C x Z: R's rows OR-ed per image point of
+    f, read at the image points of h (lattice-valued squares only)."""
+    pushed = np.zeros((len(square.f.codomain), len(R.codomain)), dtype=bool)
+    np.logical_or.at(pushed, square.f.img, R.mask())
+    return PairSet.from_mask(square.h.domain.array, R.codomain, pushed[square.h.img])
 
 
 def verify_lax_bc(square: CommutingSquare, R: Relation) -> LawReport:
@@ -276,13 +287,14 @@ def verify_lax_bc(square: CommutingSquare, R: Relation) -> LawReport:
                      witnesses=witnesses)
 
 
-def pointwise_cartesian(square: CommutingSquare, tol: float = FLOAT_TOL) -> tuple[bool, list]:
-    """Witness search: every consistent (y, z) with f(y) = h(z) lifts to K_A."""
+def pointwise_cartesian(square: CommutingSquare) -> tuple[bool, list]:
+    """Witness search: every consistent (y, z) with f(y) = h(z) lifts to K_A
+    (lattice-valued squares only: images are compared as point indices)."""
+    _require_lattice_valued(square)
     K_B, K_C = square.g.codomain, square.fp.codomain
-    consistent = _same(square.f.images, square.h.images, tol)
-    g_hits = _same(square.g.images, K_B.array, tol)
-    fp_hits = _same(square.fp.images, K_C.array, tol)
-    lifted = (g_hits.astype(np.float32).T @ fp_hits.astype(np.float32)) > 0  # (|B|, |C|)
+    consistent = square.f.img[:, None] == square.h.img
+    lifted = np.zeros((len(K_B), len(K_C)), dtype=bool)
+    lifted[square.g.img, square.fp.img] = True
     i, j = np.nonzero(consistent & ~lifted)
     failures = [(tuple(K_B.array[a].tolist()), tuple(K_C.array[b].tolist()))
                 for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES])]
@@ -293,7 +305,6 @@ def verify_strict_bc(square: CommutingSquare, R: Relation) -> LawReport:
     """Strict equality f'_!(g* R) == h*(f_! R), plus the cartesianness test."""
     if not square.f.domain.same_points(R.domain):
         raise InvalidArgument("strict BC: R must live on K_B (f's domain)")
-    _require_lattice_valued(square)
     cartesian, cart_failures = pointwise_cartesian(square)
     lhs = pushforward(square.fp, pullback(square.g, R))
     rhs = _late_audit_pairs(square, R)
@@ -331,10 +342,10 @@ def _endpoint_closure(pairs: PairSet, endpoint: GridPoint, N: int) -> PairSet:
     pred = GridPoint((N - 1, 1), N).to_array()[None]
     if not pairs.test(pred, pred)[0, 0]:
         return pairs
-    ev = endpoint.to_array()
-    mask = np.pad(pairs.mask, ((0, 1), (0, 1)))
+    cols = np.union1d(pairs.cols, pairs.space.indices_of([endpoint]))  # (N, 0) sorts last
+    mask = np.pad(pairs.mask, ((0, 1), (0, len(cols) - len(pairs.cols))))
     mask[-1, -1] = True
-    return PairSet.from_mask(np.vstack([pairs.left, ev]), np.vstack([pairs.right, ev]), mask)
+    return PairSet.from_mask(np.vstack([pairs.left, endpoint.to_array()]), pairs.space, mask, cols)
 
 
 def closure_fix_demo(which: str, N: int = 10, closed_hub: bool = False) -> LawReport:
@@ -361,7 +372,7 @@ def closure_fix_demo(which: str, N: int = 10, closed_hub: bool = False) -> LawRe
         lhs = _endpoint_closure(
             pushforward(incl, pullback(incl, S)), endpoint, N)
         push = _endpoint_closure(pushforward(identity_map(full), S), endpoint, N)
-        rhs = PairSet.from_mask(full.array, full.array, push.test(full.array, full.array))
+        rhs = PairSet.from_mask(full.array, full, push.test(full.array, full.array))
     else:
         raise InvalidArgument("which must be 'frobenius' or 'bc'")
 

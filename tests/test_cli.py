@@ -522,6 +522,29 @@ class TestWorkflowCommand:
                      "--hub", "0.3,0.5,0.2"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["workflow", "a", "--hub", "nan,0.5,0.5"],
+        ["workflow", "a", "--hub", "inf,0,0"],
+        ["workflow", "a", "--hub", "0.3,abc,0.2"],
+        ["kernel", "--hub", "0.3,abc"],
+        ["cure", "--constraint", "x1<=0.5", "--hub", "0.3,abc"],
+    ])
+    def test_malformed_hub_exit_two(self, capsys, tmp_path, argv):
+        reg = self._registry(tmp_path)
+        ledger = tmp_path / "l.jsonl"
+        assert main(["workflow", "a", "--registry", reg, "--ledger", str(ledger),
+                     "--map", "f1", "--relation", "r1", "--hub", "0.3,0.5,0.2"]) == 0
+        before = (open(reg, "rb").read(), ledger.read_bytes())
+        capsys.readouterr()
+        if argv[0] == "workflow":
+            argv = argv + ["--registry", reg, "--ledger", str(ledger),
+                           "--map", "f1", "--relation", "r1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert (open(reg, "rb").read(), ledger.read_bytes()) == before
+
     def test_workflow_c_registers(self, capsys, tmp_path):
         reg = self._registry(tmp_path)
         obj = tmp_path / "objective.json"

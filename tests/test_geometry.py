@@ -23,7 +23,6 @@ from hubspoke.geometry import (
     enumerate_simplex,
     eval_functional,
     expected_simplex_size,
-    grid_point_from_vector,
     parse_constraint,
     parse_step,
     restrict,
@@ -328,12 +327,6 @@ class TestPointsAndSnap:
             GridPoint((1, 2), 4)
         with pytest.raises(InvalidArgument):
             GridPoint((-1, 5), 4)
-
-    def test_from_vector(self):
-        p = grid_point_from_vector([0.25, 0.75], 4)
-        assert p.coords == (1, 3)
-        with pytest.raises(InvalidArgument):
-            grid_point_from_vector([0.3, 0.7], 4)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 20), st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))

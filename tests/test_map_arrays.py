@@ -3,7 +3,10 @@
 The oracles are the per-point implementations that the array forms
 replaced: a map stored as a coords -> GridPoint table and evaluated one
 point at a time, a pushforward that rounds two vectors per pair into a
-dict-keyed pair set, and the per-hub optimizer, fiber and square loops.
+dict-keyed pair set, the per-hub optimizer, fiber and square loops, and
+the float-tolerance matches that the point-index lookups of lattice
+points (`ReimplMap.img`, `PairSet.test`, the Beck-Chevalley checks)
+replaced.
 """
 
 import numpy as np
@@ -15,7 +18,6 @@ from hubspoke.geometry import (
     GridPoint,
     InvalidArgument,
     enumerate_simplex,
-    grid_point_from_vector,
     parse_constraint,
     restrict,
 )
@@ -35,16 +37,35 @@ from hubspoke.optimize import (
 from hubspoke.relations import (
     Relation,
     _attr_matrix,
+    _same,
     build_relation,
     empty_relation,
 )
-from hubspoke.transport import CommutingSquare, PairSet, pushforward, verify_strict_bc
+from hubspoke.transport import (
+    CommutingSquare,
+    PairSet,
+    _late_audit_pairs,
+    pointwise_cartesian,
+    pushforward,
+    verify_strict_bc,
+)
 
 FLOAT_TOL = 1e-9
 MAX_WITNESSES = 10
 
 
 # -- the per-point oracles ------------------------------------------------------
+
+
+def grid_point_from_vector(v, N, tol=FLOAT_TOL):
+    """The GridPoint a float vector denotes, or InvalidArgument if it is off
+    the 1/N lattice: the per-vector rule the point-index lookups replaced."""
+    v = np.asarray(v, dtype=float)
+    scaled = v * N
+    coords = np.rint(scaled)
+    if np.max(np.abs(scaled - coords)) > tol * N:
+        raise InvalidArgument(f"{v.tolist()} is not on the 1/{N} lattice")
+    return GridPoint(tuple(int(c) for c in coords), N)
 
 
 def _key(v):
@@ -105,6 +126,40 @@ class OracleMap:
         for part in self.parts:
             v = part.evaluate(v)
         return v
+
+
+def oracle_image_holdings(f):
+    """The float rule `is_lattice_valued` used to follow: integer holdings
+    of the images, or None if one is not within FLOAT_TOL of a lattice point."""
+    N = f.codomain.N
+    C = np.rint(f.images * N)
+    on = ((np.abs(f.images * N - C) <= FLOAT_TOL * N).all()
+          and (C >= 0).all() and (C.sum(axis=1) == N).all())
+    return C.astype(np.int64) if on else None
+
+
+def oracle_pair_test(ps: PairSet, X, Y):
+    """PairSet.test as float matches on both sides."""
+    hits = _same(X, ps.left).astype(np.float32) @ ps.mask.astype(np.float32)
+    return (hits @ _same(Y, ps.right).T.astype(np.float32)) > 0
+
+
+def oracle_late_audit_mask(square, R):
+    """h*(f_! R) over K_C x Z with images matched by float tolerance."""
+    match = _same(square.h.images, square.f.images)
+    return (match.astype(np.float32) @ R.mask().astype(np.float32)) > 0
+
+
+def oracle_pointwise_cartesian(square):
+    K_B, K_C = square.g.codomain, square.fp.codomain
+    consistent = _same(square.f.images, square.h.images)
+    g_hits = _same(square.g.images, K_B.array)
+    fp_hits = _same(square.fp.images, K_C.array)
+    lifted = (g_hits.astype(np.float32).T @ fp_hits.astype(np.float32)) > 0
+    i, j = np.nonzero(consistent & ~lifted)
+    failures = [(tuple(K_B.array[a].tolist()), tuple(K_C.array[b].tolist()))
+                for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES])]
+    return not failures, failures
 
 
 def oracle_pushforward(f: OracleMap, R: Relation) -> OraclePairSet:
@@ -256,6 +311,41 @@ def random_relation(draw, K, Z):
     return Relation.from_mask(K, Z, mask)
 
 
+@st.composite
+def squares(draw):
+    """A lattice-valued commuting square and R on K_B, N <= 10.
+
+    g aggregates by a merge matrix or is a metric map, f is a permutation
+    or a metric map; either f' = f.g and h = id, or f' = g and h = f.  One
+    affine map, g or f, may be nudged off its lattice points by +-7e-10 in
+    each coordinate.
+    """
+    N = draw(st.integers(1, 10))
+    nudged = draw(st.sampled_from([None, "g", "f"]))
+    sign = draw(st.sampled_from([7e-10, -7e-10]))
+
+    def affine(name, K1, K2, M):
+        offset = sign * (-1.0) ** np.arange(K2.n + 1) if name == nudged else None
+        return ReimplMap(K1, K2, "affine", matrix=M, offset=offset)
+
+    if draw(st.booleans()):
+        A, B = lattice(draw, 2, N), enumerate_simplex(1, N)
+        g = affine("g", A, B, np.array(draw(st.sampled_from(MERGES)), float))
+    else:
+        A, B = lattice(draw, draw(st.integers(1, 2)), N), lattice(draw, 1, N)
+        g = metric_pair(draw, A, B)[0]
+    if draw(st.booleans()):
+        f = affine("f", B, enumerate_simplex(1, N),
+                   np.eye(2)[draw(st.permutations(range(2)))])
+    else:
+        f = metric_pair(draw, B, lattice(draw, draw(st.integers(1, 2)), N))[0]
+    if draw(st.booleans()):
+        sq = CommutingSquare(g=g, fp=compose_maps(f, g), f=f, h=identity_map(f.codomain))
+    else:
+        sq = CommutingSquare(g=g, fp=g, f=f, h=f)
+    return sq, random_relation(draw, B, enumerate_simplex(1, N))
+
+
 # -- maps as image arrays ----------------------------------------------------------
 
 
@@ -301,6 +391,17 @@ class TestImages:
             assert f.image_points() == want
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(maps())
+    def test_img_matches_the_float_lattice_rule(self, pair):
+        f, _ = pair
+        want = oracle_image_holdings(f)
+        assert f.is_lattice_valued() == (want is not None)
+        if want is not None:
+            assert np.array_equal(f.codomain.holdings[f.img], want)
+        assert f.img.dtype == np.intp and not f.img.flags.writeable
+
+
 # -- pushforward as one index product ------------------------------------------
 
 
@@ -319,7 +420,7 @@ class TestPushforward:
             keys = [tuple(r) for r in np.round(side, 9).tolist()]
             assert keys == sorted(set(keys))
         assert ps.mask.any(axis=1).all() and ps.mask.any(axis=0).all()
-        assert ps == PairSet.from_mask(ps.left, ps.right, ps.mask)
+        assert ps == PairSet.from_mask(ps.left, ps.space, ps.mask, ps.cols)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -370,7 +471,43 @@ class TestPushforward:
         f = ReimplMap(K, K, "affine", matrix=np.eye(2))
         ps = pushforward(f, empty_relation(K, K))
         assert len(ps) == 0 and ps.keys() == set()
-        assert ps == PairSet.from_mask(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 0)))
+        assert ps == PairSet.from_mask(np.zeros((0, 3)), K, np.zeros((0, len(K))))
+
+
+# -- lattice-valued transport by point index -------------------------------------
+
+
+class TestPointIndices:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pair_set_test_matches_float_matches(self, data):
+        f, _ = data.draw(maps())
+        N = f.domain.N
+        Z = lattice(data.draw, 1, N)
+        ps = pushforward(f, random_relation(data.draw, f.domain, Z))
+        amb = enumerate_simplex(1, N).array
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        # lattice points in and out of Z and of the pair set, points moved
+        # within and beyond the tolerance, and rows off the lattice
+        Y = np.vstack([amb, amb + 0.5e-9, amb - 2e-9 * (-1.0) ** np.arange(2),
+                       amb[::-1] + 2e-9, rng.dirichlet(np.ones(2), 5),
+                       np.arange(2 * N + 1)[:, None] / (2 * N) * [1, -1] + [0, 1]])
+        X = np.vstack([ps.left, f.images, f.images + 2e-9, f.codomain.array])
+        assert np.array_equal(ps.test(X, Y), oracle_pair_test(ps, X, Y))
+        wide = np.hstack([Y, np.zeros((len(Y), 1))])
+        assert not ps.test(X, wide).any() and not oracle_pair_test(ps, X, wide).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(squares())
+    def test_late_audit_pairs_and_cartesian_match_float_matches(self, case):
+        sq, R = case
+        for m in (sq.g, sq.fp, sq.f, sq.h):
+            assert m.is_lattice_valued() and oracle_image_holdings(m) is not None
+        got = _late_audit_pairs(sq, R)
+        want = PairSet.from_mask(sq.h.domain.array, R.codomain, oracle_late_audit_mask(sq, R))
+        for a, b in ((got.left, want.left), (got.cols, want.cols), (got.mask, want.mask)):
+            assert np.array_equal(a, b)
+        assert pointwise_cartesian(sq) == oracle_pointwise_cartesian(sq)
 
 
 # -- optimizers, fibers and squares --------------------------------------------------
