@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from .dots import action, verify_action_laws
+from .fixtures import _reference_triple
 from .geometry import (
     LatticeSpace,
     LinearFunctional,
@@ -157,32 +158,22 @@ def _random_relation(rng, K1: LatticeSpace, K3: LatticeSpace) -> Relation:
 def _random_commuting_square(rng):
     """Either an aggregation rectangle or a composite-closing square."""
     N = int(rng.choice([4, 6, 8]))
+    KB, KD, Z = (enumerate_simplex(1, N) for _ in range(3))
     if rng.random() < 0.5:
         KA = enumerate_simplex(2, N)
-        KB = enumerate_simplex(1, N)
-        KD = enumerate_simplex(1, N)
         merges = [np.array([[1, 1, 0], [0, 0, 1]], float),
                   np.array([[1, 0, 1], [0, 1, 0]], float),
                   np.array([[0, 1, 1], [1, 0, 0]], float)]
         g = ReimplMap(KA, KB, "affine", matrix=merges[int(rng.integers(0, 3))], name="g")
         perms = [np.eye(2), np.array([[0, 1], [1, 0]], float)]
         f = ReimplMap(KB, KD, "affine", matrix=perms[int(rng.integers(0, 2))], name="f")
-        fp = compose_maps(f, g, name="fp")
-        h = identity_map(KD)
-        square = CommutingSquare(g=g, fp=fp, f=f, h=h)
-        Z = enumerate_simplex(1, N)
-        R = _random_relation(rng, KB, Z)
-        return square, R
-    KA = _random_space(rng, 1, N)
-    KB = enumerate_simplex(1, N)
-    g = _random_lattice_map(rng, KA, KB)
-    KD = enumerate_simplex(1, N)
-    f = _random_lattice_map(rng, KB, KD)
+    else:
+        KA = _random_space(rng, 1, N)
+        g = _random_lattice_map(rng, KA, KB)
+        f = _random_lattice_map(rng, KB, KD)
     fp = compose_maps(f, g, name="fp")
     square = CommutingSquare(g=g, fp=fp, f=f, h=identity_map(KD))
-    Z = enumerate_simplex(1, N)
-    R = _random_relation(rng, KB, Z)
-    return square, R
+    return square, _random_relation(rng, KB, Z)
 
 
 def criterion_3(instances: int = 510, seed: int = 7):
@@ -230,12 +221,7 @@ def criterion_3(instances: int = 510, seed: int = 7):
             if not strict.holds:
                 violations.append(("strict_bc", i))
 
-    amb = enumerate_simplex(2, 10)
-    f = ReimplMap(amb, amb, "affine", matrix=0.8 * np.eye(3),
-                  offset=np.full(3, 0.2 / 3), name="shrink")
-    fixture = verify_frobenius(f,
-                               build_relation(amb, amb, "track", epsilon=0.10),
-                               build_relation(amb, amb, "turnover", kappa=0.3))
+    fixture = verify_frobenius(*_reference_triple())
     ok = not violations and fixture.holds and strict_checked > 0
     return ok, (f"{3 * per_law} instances, {len(violations)} violations; "
                 f"strict BC verified on {strict_checked} cartesian squares; "
@@ -486,8 +472,9 @@ def criterion_13(tmp_dir=None):
 
     from .audit import EvidenceLedger, FixedClock, Registry, workflow_a, workflow_b
 
-    own = tmp_dir is None
-    tmp_dir = tmp_dir or tempfile.mkdtemp(prefix="hs-acceptance-")
+    if tmp_dir is None:
+        with tempfile.TemporaryDirectory(prefix="hs-acceptance-") as own:
+            return criterion_13(own)
     reg = Registry()
     reg.put("objects", "hub", {"n": 2, "N": 20,
                                "constraints": [parse_constraint("x1<=0.6", 3).to_dict()]})

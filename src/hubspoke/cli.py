@@ -43,12 +43,27 @@ from .transport import closure_fix_demo
 from . import fixtures
 
 DEFAULT_FEE = LinearFunctional((10, 5, 0), units="bps")
+SPACE_KEYS = ("n", "N")
 
 
 def _env_seed(args_seed):
     if args_seed is not None:
         return args_seed
     return int(os.environ.get("HS_SEED", "42"))
+
+
+def _read_json(path: str, keys: tuple = ()):
+    """The JSON document in a file, which must hold `keys`; a missing,
+    unreadable or malformed file is an InvalidArgument."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise InvalidArgument(f"cannot read JSON from {path}: {e}") from None
+    for key in keys:
+        if key not in doc:
+            raise InvalidArgument(f"{path} has no {key!r} key")
+    return doc
 
 
 def _emit(payload, fmt="json"):
@@ -67,14 +82,14 @@ def cmd_enumerate(args) -> int:
     print(f"{len(space)} lattice points")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for p in space.points:
-                fh.write(",".join(str(c / N) for c in p.coords) + "\n")
+            for row in space.holdings.tolist():
+                fh.write(",".join(str(c / N) for c in row) + "\n")
         print(f"points written to {args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    report = fixtures.run_law(args.law, args.fixture)
+    report = fixtures.run_law(args.law, _read_json(args.fixture) if args.fixture else None)
     _emit(report.to_dict())
     return 0 if report.holds else 1
 
@@ -91,12 +106,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = ObjectiveSpec.from_dict(json.load(fh))
-    with open(args.hub, encoding="utf-8") as fh:
-        hub = LatticeSpace.from_dict(json.load(fh))
-    with open(args.spoke, encoding="utf-8") as fh:
-        spoke = LatticeSpace.from_dict(json.load(fh))
+    spec = ObjectiveSpec.from_dict(_read_json(args.spec))
+    hub = LatticeSpace.from_dict(_read_json(args.hub, SPACE_KEYS))
+    spoke = LatticeSpace.from_dict(_read_json(args.spoke, SPACE_KEYS))
     f = build_metric_reimpl(hub, spoke, spec)
     table = {",".join(map(str, h)): y for h, y in zip(hub.holdings.tolist(),
                                                     spoke.holdings[f.img].tolist())}
@@ -142,17 +154,13 @@ def cmd_menu(args) -> int:
             raise InvalidArgument("only the core-satellite template is wired to the CLI")
         if len(args.inputs) != 2:
             raise InvalidArgument("the core-satellite template takes two --inputs")
-        inputs = []
-        for path in args.inputs:
-            with open(path, encoding="utf-8") as fh:
-                inputs.append(LatticeSpace.from_dict(json.load(fh)))
+        inputs = [LatticeSpace.from_dict(_read_json(path, SPACE_KEYS)) for path in args.inputs]
         out = enumerate_simplex(inputs[0].n, inputs[0].N)
         menu = apply_template(WiringTemplate.core_satellite(args.w, out), inputs)
     else:
         if not args.hub:
             raise InvalidArgument("menu needs --hub or --template")
-        with open(args.hub, encoding="utf-8") as fh:
-            hub_dict = json.load(fh)
+        hub_dict = _read_json(args.hub, SPACE_KEYS)
         if "points" in hub_dict:
             hub = LatticeSpace.from_dict(hub_dict)
             ambient = enumerate_simplex(hub.n, hub.N)
@@ -172,18 +180,18 @@ def cmd_menu(args) -> int:
     return 0
 
 
-def _parse_hub(text: str) -> tuple[float, ...]:
+def _parse_weights(text: str, option: str = "--hub") -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise InvalidArgument(f"--hub {text!r} is not comma-separated weights") from None
+        raise InvalidArgument(f"{option} {text!r} is not comma-separated weights") from None
 
 
 def _cloud_from_args(args):
     seed = _env_seed(args.seed)
     spec = KernelSpec(shape=args.shape, sigma=args.sigma,
                       n_samples=args.n, seed=seed)
-    hub = _parse_hub(args.hub)
+    hub = _parse_weights(args.hub)
     return spec, hub, sample_kernel(spec, hub)
 
 
@@ -207,9 +215,7 @@ def cmd_cure(args) -> int:
     spec, hub, cloud = _cloud_from_args(args)
     amb = enumerate_simplex(len(hub) - 1, args.lattice_n)
     S = restrict(amb, [parse_constraint(args.constraint, len(hub))])
-    tau = None
-    if args.weights:
-        tau = tuple(float(w) for w in args.weights.split(","))
+    tau = _parse_weights(args.weights, "--weights") if args.weights else None
     cure = wasserstein_cure(cloud, S, tau=tau)
     payload = {"constraint": args.constraint, "violation_rate": cure.violation_rate,
                "mean_cost": cure.mean_cost,
@@ -240,21 +246,19 @@ def cmd_workflow(args) -> int:
     ledger = EvidenceLedger(args.ledger)
     try:
         if args.kind == "a":
-            hub = _parse_hub(args.hub)
+            hub = _parse_weights(args.hub)
             entry = run_workflow("A", registry, ledger, map_id=args.map,
                                  relation_id=args.relation, hub=hub)
         elif args.kind == "b":
-            with open(args.relation_def, encoding="utf-8") as fh:
-                rel_def = json.load(fh)
-            entry = run_workflow("B", registry, ledger, relation_def=rel_def,
+            entry = run_workflow("B", registry, ledger,
+                                 relation_def=_read_json(args.relation_def),
                                  hub_object=args.hub_object,
                                  pipeline=args.pipeline or [],
                                  full_sweep=args.full_sweep)
         else:
-            with open(args.objective, encoding="utf-8") as fh:
-                objective = json.load(fh)
             entry = run_workflow("C", registry, ledger, relation_id=args.relation,
-                                 objective=objective, map_id=args.new_map,
+                                 objective=_read_json(args.objective),
+                                 map_id=args.new_map,
                                  new_object_id=args.new_object)
             registry.save(args.registry)
         _emit(entry.to_dict())

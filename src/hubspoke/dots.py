@@ -2,8 +2,9 @@
 
 A menu is a boolean mask over a lattice space, with the provenance of the
 relations that produced it.  An action is one `menu_mask` of the hub mask,
-a fiber F_R(x) is the row of R's mask at x and determinization one masked
-argmax over those rows: none builds a pair set or a GridPoint.
+a fiber F_R(x) is R's incidence row at x (`Relation.mask_rows`) and
+determinization one masked argmax over the menu's rows: none builds a pair
+set or a GridPoint.
 """
 
 from __future__ import annotations
@@ -147,14 +148,15 @@ def verify_action_laws(K: MenuLike, R: Relation, S: Relation,
 def determinize_relation(K: MenuLike, R: Relation, alpha: float) -> ReimplMap:
     """Select from each fiber F_R(x), x in K, the point minimizing alpha*||y||^2.
 
-    One masked argmax over the rows of R's mask: the first best member is
-    the lexicographically smallest.  alpha must be positive and finite (it
+    One masked argmax over R's rows at the menu's hubs (`mask_rows`, so a
+    small menu needs no full mask): the first best member is the
+    lexicographically smallest.  alpha must be positive and finite (it
     is what makes the squared-norm penalty a strictly convex tie-splitter);
     a hub with an empty fiber is Infeasible.
     """
     menu = _as_menu(K)
     rows = np.flatnonzero(menu.mask_on(R.domain))
-    mask = R.mask()[rows]
+    mask = R.mask_rows(rows)
     if not 0 < alpha < np.inf:
         raise InvalidArgument("determinization requires a finite alpha > 0")
     empty = np.flatnonzero(~mask.any(axis=1))

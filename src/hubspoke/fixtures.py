@@ -1,7 +1,7 @@
 """Law-verification fixtures: the built-in reference instances and a JSON form.
 
-A fixture file names the spaces, maps and relations a law should be
-checked on::
+A fixture document (a JSON file for `hs verify --fixture`) names the
+spaces, maps and relations a law should be checked on::
 
     {
       "spaces":    {"amb": {"n": 2, "N": 10, "constraints": []}},
@@ -12,15 +12,13 @@ checked on::
       "args":      {"f": "f", "R": "R", "S": "S"}           # law-specific
     }
 
-Without a file, `run_law` uses the reference fixture for that law: the
+Without a document, `run_law` uses the reference fixture for that law: the
 shrink-toward-barycenter map with tracking and turnover relations for
 adjunction/frobenius/functoriality, and the aggregation chain for the
 Beck-Chevalley laws.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -36,11 +34,6 @@ from .transport import (
     verify_lax_bc,
     verify_strict_bc,
 )
-
-
-def _load(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _materialize(doc: dict):
@@ -90,10 +83,10 @@ def _reference_square():
     return square, R
 
 
-def run_law(law: str, fixture_path: str | None = None) -> LawReport:
+def run_law(law: str, doc: dict | None = None) -> LawReport:
+    """Verify a law on a fixture document, or on its reference fixture."""
     law = law.replace("-", "_")
-    if fixture_path:
-        doc = _load(fixture_path)
+    if doc is not None:
         _, maps, relations = _materialize(doc)
         args = doc.get("args", {})
         if law == "adjunction":

@@ -12,6 +12,10 @@ finite pair set are backed by their incidence mask (`Relation.from_mask`):
 a vector off the lattice or off the space is never a member.  Single-pair
 membership is derived from `test`, the pair set from the incidence mask.
 
+The incidence rows of domain points i are read by index, `mask_rows(i)`:
+the cached mask, else the stencil scatter below, else `test` on the points.
+`mask`, determinization and the lattice transport laws read rows this way.
+
 On the lattice, a translation-invariant relation -- tracking with
 identity attributes, turnover, and the diagonal projectors -- is a
 dilation: x relates to y iff y - x lies in a small integer offset stencil
@@ -189,25 +193,28 @@ class Relation:
 
     # -- materialization ---------------------------------------------------
 
+    def mask_rows(self, i) -> np.ndarray:
+        """(len(i), |codomain|) bool: the incidence rows of domain points i,
+        from the cached mask, else the stencil scatter with the screen
+        applied, else `test`; more than MASK_LIMIT cells are refused."""
+        i = np.asarray(i, dtype=np.intp)
+        size = len(i) * len(self.codomain)
+        if size > MASK_LIMIT:
+            raise InvalidArgument(f"refusing to materialize a {size}-cell incidence mask; "
+                                  "use the action/menu path for large relations")
+        if self._mask is not None:
+            return self._mask[i]
+        if self.stencil is None:
+            return np.ascontiguousarray(self.test(self.domain.array[i], self.codomain.array))
+        out = np.zeros((len(i), len(self.codomain)), dtype=bool)
+        for k, j in self._scatter(i):
+            out[k, j] = True
+        return out & self._passes if self.screen else out
+
     def mask(self) -> np.ndarray:
         """Boolean (|domain|, |codomain|) incidence matrix (cached)."""
         if self._mask is None:
-            size = len(self.domain) * len(self.codomain)
-            if size > MASK_LIMIT:
-                raise InvalidArgument(
-                    f"refusing to materialize a {size}-cell incidence mask; "
-                    "use the action/menu path for large relations"
-                )
-            X, Y = self.domain.array, self.codomain.array
-            if self.stencil is not None:
-                out = np.zeros((len(X), len(Y)), dtype=bool)
-                for i, j in self._scatter(np.arange(len(X))):
-                    out[i, j] = True
-                if self.screen:
-                    out &= self._passes
-            else:
-                out = np.ascontiguousarray(self.test(X, Y))
-            self._mask = out
+            self._mask = self.mask_rows(np.arange(len(self.domain)))
         return self._mask
 
     @property
@@ -244,22 +251,19 @@ class Relation:
     def menu_mask(self, hub_mask: np.ndarray) -> np.ndarray:
         """For selected domain rows, which codomain points are hit by some hub.
 
-        Reads the cached mask when there is one.  A relation with a stencil
-        hits the hub holdings plus each offset that are codomain points
-        and pass the screen, if any.  Otherwise `test` runs over row blocks
-        of the hubs, so big menus never materialize the full incidence mask.
+        With no cached mask, a relation with a stencil hits the hub holdings
+        plus each offset that are codomain points and pass the screen, if
+        any.  Otherwise the hubs' `mask_rows` are OR-ed in row blocks, so big
+        menus never materialize the full incidence mask.
         """
-        if self._mask is not None:
-            return self._mask[hub_mask].any(axis=0)
-        Y = self.codomain.array
-        hit = np.zeros(len(Y), dtype=bool)
-        if self.stencil is not None:
-            for _, j in self._scatter(np.flatnonzero(hub_mask)):
+        i = np.flatnonzero(hub_mask)
+        hit = np.zeros(len(self.codomain), dtype=bool)
+        if self._mask is None and self.stencil is not None:
+            for _, j in self._scatter(i):
                 hit[j] = True
             return hit & self._passes if self.screen else hit
-        X = self.domain.array[hub_mask]
-        for s in _row_blocks(len(X), Y.size):
-            hit |= self.test(X[s], Y).any(axis=0)
+        for s in _row_blocks(len(i), self.codomain.holdings.size):
+            hit |= self.mask_rows(i[s]).any(axis=0)
         return hit
 
     # -- misc ----------------------------------------------------------------

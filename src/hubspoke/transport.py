@@ -4,10 +4,11 @@ Pushforwards carry continuous image points, so results are pair sets: left
 (hub-side) vectors, distinct when rounded to 9 decimals (one np.unique),
 right (spoke-side) points of one lattice space by index, and a boolean
 mask of the pairs.  Every equality law is verified with both sides built
-from the same hub enumeration, which keeps float comparisons bitwise-stable;
-membership tests use the tolerance on left vectors and point lookups on
-lattice points, so the Beck-Chevalley checks, whose squares are
-lattice-valued, match images by point index (`ReimplMap.img`).
+from the same hub enumeration, which keeps float comparisons bitwise-stable.
+A lattice-valued map's images are its points (`ReimplMap.img`): pullback,
+membership in S and the Beck-Chevalley checks read them by point index
+(`Relation.mask_rows`); `S.test` runs only on rows off the lattice, and
+`PairSet.test` still matches its left vectors within the tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ def _merge_rows(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return V[last], merged
 
 
+def _trim(left: np.ndarray, cols: np.ndarray, mask: np.ndarray) -> tuple:
+    """(left, cols, mask) without the empty rows and columns of mask."""
+    rows, used = mask.any(axis=1), mask.any(axis=0)
+    return left[rows], cols[used], mask[np.ix_(rows, used)]
+
+
 @dataclass(frozen=True, eq=False)
 class PairSet:
     """A finite set of (left-vector, right-point) pairs.
@@ -66,9 +73,9 @@ class PairSet:
         mask, in canonical form; cols defaults to every point of space."""
         left, mask = np.asarray(left, dtype=float), np.asarray(mask, dtype=bool)
         cols = np.arange(len(space)) if cols is None else np.asarray(cols)
-        rows, used = mask.any(axis=1), mask.any(axis=0)
-        left, mask = _merge_rows(left[rows], mask[np.ix_(rows, used)])
-        return cls(left, space, cols[used], mask)
+        left, cols, mask = _trim(left, cols, mask)
+        left, mask = _merge_rows(left, mask)
+        return cls(left, space, cols, mask)
 
     @property
     def right(self) -> np.ndarray:
@@ -151,6 +158,8 @@ def pullback(f: ReimplMap, S: Relation) -> Relation:
     """f*S = {(x, z): (f(x), z) in S}, an exact relation on f's domain lattice."""
     if not f.codomain.same_points(S.domain):
         raise InvalidArgument("pullback: f must land in S's domain")
+    if f.is_lattice_valued():
+        return Relation.from_mask(f.domain, S.codomain, S.mask_rows(f.img))
     return Relation.from_mask(f.domain, S.codomain, S.test(f.images, S.codomain.array))
 
 
@@ -163,19 +172,19 @@ def pushforward(f: ReimplMap, R: Relation) -> PairSet:
     return PairSet.from_mask(f.images, R.codomain, R.mask())
 
 
+def _membership(pairs: PairSet, S: Relation) -> np.ndarray:
+    """(len(left), len(cols)) bool: the pairs in S, read from S's rows by point
+    index when the left rows are points of S's domain and cols of its codomain."""
+    i = S.domain.index_vectors(pairs.left)
+    if (i >= 0).all() and pairs.space.same_points(S.codomain):
+        return S.mask_rows(i)[:, pairs.cols]
+    return S.test(pairs.left, pairs.right)
+
+
 def _within(pairs: PairSet, S: Relation) -> PairSet:
-    """The pairs of a pair set that are members of S."""
-    return PairSet.from_mask(pairs.left, pairs.space,
-                             pairs.mask & S.test(pairs.left, pairs.right), pairs.cols)
-
-
-def pushforward_contains(f: ReimplMap, R: Relation, y, z) -> bool:
-    """Membership (y, z) in f_!R: exists x with f(x) = y within FLOAT_TOL,
-    and (x, z) in R, z being the codomain point it denotes."""
-    zv = z.to_array() if isinstance(z, GridPoint) else z
-    j = R.codomain.index_vectors(np.asarray(zv, dtype=float)[None])[0]
-    xs = _same(f.images, np.asarray(y, dtype=float)[None])[:, 0]
-    return bool(j >= 0 and R.mask()[xs, j].any())
+    """The pairs of a pair set that are members of S (still canonical)."""
+    left, cols, mask = _trim(pairs.left, pairs.cols, pairs.mask & _membership(pairs, S))
+    return PairSet(left, pairs.space, cols, mask)
 
 
 def verify_adjunction(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
@@ -185,7 +194,7 @@ def verify_adjunction(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
     # R subset of f*S
     left = not (R_mask & ~pb.test(R.domain.array, R.codomain.array)).any()
     push = pushforward(f, R)
-    right = not (push.mask & ~S.test(push.left, push.right)).any()  # f_!R subset of S
+    right = not (push.mask & ~_membership(push, S)).any()  # f_!R subset of S
     holds = left == right
     witnesses = ()
     if not holds:
@@ -227,8 +236,8 @@ def verify_functoriality(f: ReimplMap, g: ReimplMap, R: Relation,
 
 def verify_frobenius(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
     """f_!(R intersect f*S) == f_!R intersect S, as identical pair sets."""
+    rhs = _within(pushforward(f, R), S)     # caches R's mask for the intersection
     lhs = pushforward(f, intersect(R, pullback(f, S)))
-    rhs = _within(pushforward(f, R), S)
     holds = lhs == rhs
     return LawReport("frobenius", holds, len(lhs), len(rhs),
                      witnesses=() if holds else _two_way_witnesses(lhs, rhs))

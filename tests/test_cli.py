@@ -25,6 +25,23 @@ class TestEnumerate:
         rows = open(out_file).read().strip().splitlines()
         assert len(rows) == 195
 
+    @pytest.mark.parametrize("argv,sha", [
+        (["--dim", "2", "--step", "1/20", "--constraint", "x1<=0.6"],
+         "9702ed184f849ef0c43c7284d78ff3515d1b60efdfecb3aba9cff555cfa01df3"),
+        (["--dim", "3", "--step", "1/7"],
+         "abbd818429e734915ac29bfaa5d0c2acb647581bccb6795c11798773d91f7451"),
+    ], ids=["hub_at_20", "delta3_at_7"])
+    def test_csv_bytes_pinned_and_no_grid_point(self, capsys, tmp_path, monkeypatch,
+                                                argv, sha):
+        built = []
+        real = GridPoint.__post_init__
+        monkeypatch.setattr(GridPoint, "__post_init__",
+                            lambda self: built.append(self.coords) or real(self))
+        out_file = tmp_path / "pts.csv"
+        code, _ = run(capsys, "enumerate", *argv, "--out", str(out_file))
+        assert code == 0 and built == []
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == sha
+
     def test_coefficient_constraint_form(self, capsys):
         code, out = run(capsys, "enumerate", "--dim", "2", "--step", "1/50",
                         "--constraint", "1,0,0<=0.4")
@@ -578,4 +595,46 @@ class TestWorkflowCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert (open(reg, "rb").read(), ledger.read_bytes()) == before
+
+    @pytest.mark.parametrize("argv,named", [
+        (["menu", "--hub", "{missing}"], "missing.json"),
+        (["menu", "--template", "core-satellite", "--inputs", "{missing}", "{missing}"],
+         "missing.json"),
+        (["build-map", "--spec", "{missing}", "--hub", "{hub}", "--spoke", "{hub}"],
+         "missing.json"),
+        (["verify", "--law", "adjunction", "--fixture", "{missing}"], "missing.json"),
+        (["workflow", "b", "--relation-def", "{missing}", "--hub-object", "hub"],
+         "missing.json"),
+        (["workflow", "c", "--objective", "{missing}", "--relation", "r1",
+          "--new-map", "f_new", "--new-object", "k_new"], "missing.json"),
+        (["menu", "--hub", "{not_json}"], "not.json"),
+        (["menu", "--hub", "{no_N}"], "'N'"),
+        (["menu", "--template", "core-satellite", "--inputs", "{hub}", "{no_N}"], "'N'"),
+        (["build-map", "--spec", "{hub}", "--hub", "{hub}", "--spoke", "{no_N}"], "'N'"),
+        (["cure", "--constraint", "x1<=0.5", "--weights", "a,b,c"], "--weights"),
+    ], ids=["menu_hub_missing", "template_inputs_missing", "build_map_spec_missing",
+            "verify_fixture_missing", "workflow_b_missing", "workflow_c_missing",
+            "menu_hub_not_json", "menu_hub_without_N", "template_input_without_N",
+            "build_map_spoke_without_N", "cure_weights_not_floats"])
+    def test_unreadable_input_exit_two(self, capsys, tmp_path, argv, named):
+        reg = self._registry(tmp_path)
+        ledger = tmp_path / "l.jsonl"
+        assert main(["workflow", "a", "--registry", reg, "--ledger", str(ledger),
+                     "--map", "f1", "--relation", "r1", "--hub", "0.3,0.5,0.2"]) == 0
+        before = (open(reg, "rb").read(), ledger.read_bytes())
+        (tmp_path / "not.json").write_text("n = 2, N = 10")
+        (tmp_path / "no_N.json").write_text(json.dumps({"n": 2}))
+        (tmp_path / "hub.json").write_text(json.dumps({"n": 2, "N": 10}))
+        paths = {"missing": tmp_path / "missing.json", "not_json": tmp_path / "not.json",
+                 "no_N": tmp_path / "no_N.json", "hub": tmp_path / "hub.json"}
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] == "workflow":
+            argv += ["--registry", reg, "--ledger", str(ledger)]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
         assert (open(reg, "rb").read(), ledger.read_bytes()) == before

@@ -20,6 +20,7 @@ from hubspoke.geometry import (
 )
 from hubspoke.optimize import Infeasible, ObjectiveSpec, build_metric_reimpl
 from hubspoke.relations import (
+    Relation,
     build_relation,
     diagonal,
     empty_relation,
@@ -232,6 +233,55 @@ class TestDeterminize:
         f = determinize_relation(menu, R, alpha)
         assert np.array_equal(f.img, want)
         assert np.array_equal(f.domain.holdings, amb.holdings[hubs])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2), N=st.integers(1, 10),
+           alpha=st.sampled_from([0.3, 1.0, 2.5]))
+    def test_rows_match_the_dense_mask_path(self, data, n, N, alpha):
+        amb = enumerate_simplex(n, N)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["track", "turnover", "fee_cap", "explicit"]))
+        eps = data.draw(st.floats(0.0, 0.6))
+        pairs = rng.random((len(amb), len(amb))) < 0.3
+
+        def make():
+            return {"track": lambda: build_relation(amb, amb, "track", epsilon=eps),
+                    "turnover": lambda: build_relation(amb, amb, "turnover", kappa=eps),
+                    "fee_cap": lambda: build_relation(
+                        amb, amb, "fee_cap", tau=10 * eps,
+                        functional=LinearFunctional((1,) * (n + 1))),
+                    "explicit": lambda: Relation.from_mask(amb, amb, pairs)}[kind]()
+
+        menu = Menu(amb, rng.random(len(amb)) < data.draw(st.sampled_from([0.1, 0.5, 1.0])))
+        # the dense path: the menu's rows of the full incidence mask
+        rows = np.flatnonzero(menu.mask)
+        cached = make()
+        mask = cached.mask()[rows]
+        for R in (make(), cached):
+            if not mask.any(axis=1).all():
+                with pytest.raises(Infeasible, match="empty fiber"):
+                    determinize_relation(menu, R, alpha)
+                continue
+            f = determinize_relation(menu, R, alpha)
+            penalty = -alpha * (amb.array ** 2).sum(axis=1)
+            assert np.array_equal(f.img, np.argmax(np.where(mask, penalty, -np.inf), axis=1))
+            assert np.array_equal(f.domain.holdings, amb.holdings[rows])
+
+    def test_small_menu_past_the_mask_limit(self, monkeypatch):
+        from hubspoke import relations
+
+        K = enumerate_simplex(2, 10)                        # 66 points
+        monkeypatch.setattr(relations, "MASK_LIMIT", 2 * len(K))
+        R = build_relation(K, K, "track", epsilon=0.2)
+        with pytest.raises(InvalidArgument, match="incidence mask"):
+            R.mask()
+        hubs = np.zeros(len(K), dtype=bool)
+        hubs[[7, 40]] = True
+        f = determinize_relation(Menu(K, hubs), R, alpha=1.0)
+        for x, j in zip(K.array[hubs], f.img):
+            fiber = R.test(x[None], K.array)[0]
+            norms = np.where(fiber, (K.array ** 2).sum(axis=1), np.inf)
+            assert j == np.argmin(norms)
 
     def test_graph_stays_inside_relation(self):
         amb = enumerate_simplex(1, 10)

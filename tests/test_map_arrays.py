@@ -11,7 +11,7 @@ replaced.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hubspoke.geometry import (
@@ -45,7 +45,9 @@ from hubspoke.transport import (
     CommutingSquare,
     PairSet,
     _late_audit_pairs,
+    _within,
     pointwise_cartesian,
+    pullback,
     pushforward,
     verify_strict_bc,
 )
@@ -508,6 +510,57 @@ class TestPointIndices:
         for a, b in ((got.left, want.left), (got.cols, want.cols), (got.mask, want.mask)):
             assert np.array_equal(a, b)
         assert pointwise_cartesian(sq) == oracle_pointwise_cartesian(sq)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pullback_matches_the_float_rule(self, data):
+        f, _ = data.draw(maps())
+        Z = lattice(data.draw, 1, f.domain.N)
+        S = random_relation(data.draw, f.codomain, Z)
+        if data.draw(st.booleans()):
+            S.mask()                        # rows from the cached mask
+        # the float rule pullback used on every map; off the lattice it still does
+        want = S.test(f.images, Z.array)
+        assert np.array_equal(pullback(f, S).mask(), want)
+        if f.is_lattice_valued():
+            assert np.array_equal(want, S.test(f.codomain.array[f.img], Z.array))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pullback_of_a_nudged_map_decides_at_its_points(self, data):
+        N = data.draw(st.integers(1, 10))
+        K = lattice(data.draw, 2, N)
+        sign = data.draw(st.sampled_from([7e-10, -7e-10]))
+        if data.draw(st.booleans()):
+            M, B = np.array(data.draw(st.sampled_from(MERGES)), float), enumerate_simplex(1, N)
+        else:
+            M, B = np.eye(3)[data.draw(st.permutations(range(3)))], enumerate_simplex(2, N)
+        f = ReimplMap(K, B, "affine", matrix=M, offset=sign * (-1.0) ** np.arange(B.n + 1))
+        assert f.is_lattice_valued()
+        Z = lattice(data.draw, 1, N)
+        S = random_relation(data.draw, B, Z)
+        assert np.array_equal(pullback(f, S).mask(),
+                              S.test(f.codomain.array[f.img], Z.array))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_within_matches_the_float_filter(self, data):
+        f, _ = data.draw(maps())
+        N = f.domain.N
+        Z = lattice(data.draw, 1, N)
+        ps = pushforward(f, random_relation(data.draw, f.domain, Z))
+        assume(len(ps))
+        # S's spaces may differ from the pair set's: lattice rows that are
+        # not points of S's domain, or spoke points of another lattice
+        S = random_relation(data.draw, lattice(data.draw, f.codomain.n, N),
+                            data.draw(st.sampled_from([Z, ps.space, lattice(data.draw, 1, N)])))
+        if data.draw(st.booleans()):
+            S.mask()
+        got = _within(ps, S)
+        want = PairSet.from_mask(ps.left, ps.space, ps.mask & S.test(ps.left, ps.right), ps.cols)
+        for a, b in ((got.left, want.left), (got.cols, want.cols), (got.mask, want.mask)):
+            assert np.array_equal(a, b)
 
 
 # -- optimizers, fibers and squares --------------------------------------------------

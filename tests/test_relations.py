@@ -669,3 +669,88 @@ class TestContainsRows:
             geometry.BLOCK_CELLS = old
         assert got.dtype == bool and np.array_equal(got, want)
         assert [R.contains_vectors(x, y) for x, y in zip(X, Y)] == want.tolist()
+
+
+MASK_ROW_KINDS = ["track", "turnover", "dagger_track", "dagger_turnover", "wide_box",
+                  "fee_cap", "liquidity_cap", "position_caps", "maintenance", "diagonal",
+                  "from_mask", "compose", "intersect", "custom", "full", "track_attr"]
+
+
+def _relation_for_rows(kind, domain, codomain, rng):
+    """A relation of the named kind between the two spaces (a projector or
+    the diagonal lives on the codomain)."""
+    eps = float(rng.uniform(0, 0.6))
+    d = codomain.n + 1
+    if kind in ("fee_cap", "liquidity_cap", "position_caps", "maintenance"):
+        params = {"fee_cap": {"tau": 10 * eps,
+                              "functional": LinearFunctional(tuple(range(d, 0, -1)))},
+                  "liquidity_cap": {"alpha": eps, "illiquid": (0, d - 1)},
+                  "position_caps": {"caps": rng.random(d)},
+                  "maintenance": {"kappa": eps, "costs": rng.random(d)}}[kind]
+        return build_relation(codomain, codomain, kind, **params)
+    if kind == "diagonal":
+        return diagonal(codomain)
+    if kind == "track":
+        return build_relation(domain, codomain, "track", epsilon=eps)
+    if kind == "turnover":
+        return build_relation(domain, codomain, "turnover", kappa=eps)
+    if kind == "dagger_track":
+        return dagger(build_relation(codomain, domain, "track", epsilon=eps))
+    if kind == "dagger_turnover":
+        return dagger(build_relation(codomain, domain, "turnover", kappa=eps))
+    if kind == "wide_box":
+        R = build_relation(domain, codomain, "track", epsilon=1.5)
+        assert R.stencil_rule is not None and R.stencil is None
+        return R
+    if kind == "from_mask":
+        return Relation.from_mask(domain, codomain,
+                                  rng.random((len(domain), len(codomain))) < 0.3)
+    if kind == "compose":
+        return compose_vertical(build_relation(codomain, codomain, "turnover", kappa=eps),
+                                Relation.from_mask(domain, codomain,
+                                                   rng.random((len(domain), len(codomain))) < 0.2))
+    if kind == "intersect":
+        return intersect(build_relation(domain, codomain, "track", epsilon=eps),
+                         build_relation(domain, codomain, "turnover", kappa=eps))
+    if kind == "custom":
+        return build_relation(domain, codomain, "custom",
+                              mask_fn=lambda X, Y: X[:, [0]] >= Y[None, :, 0] - 1e-9)
+    if kind == "full":
+        return full_relation(domain, codomain)
+    return build_relation(domain, codomain, "track", epsilon=eps,
+                          gA=rng.integers(-2, 3, size=(2, d)), gB=rng.integers(-2, 3, size=(2, d)))
+
+
+class TestMaskRows:
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(MASK_ROW_KINDS),
+           shape=st.sampled_from(["same", "hub_to_amb", "amb_to_hub"]),
+           n=st.integers(1, 2), N=st.integers(1, 10), cap=st.integers(0, 10),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_rows_match_test_on_the_points(self, kind, shape, n, N, cap, seed, data):
+        rng = np.random.default_rng(seed)
+        R = _relation_for_rows(kind, *_spaces(shape, N, cap, n), rng)
+        # unsorted and repeated point indices
+        i = np.asarray(data.draw(st.lists(st.integers(0, len(R.domain) - 1), max_size=20)),
+                       dtype=np.intp)
+        want = R.test(R.domain.array[i], R.codomain.array)
+        got = R.mask_rows(i)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert np.array_equal(R.mask()[i], want)
+        assert np.array_equal(R.mask_rows(i), want)     # now from the cached mask
+
+    def test_refuses_past_the_mask_limit(self, monkeypatch):
+        from hubspoke import relations
+
+        K = enumerate_simplex(2, 4)         # 15 points
+        monkeypatch.setattr(relations, "MASK_LIMIT", 2 * len(K))
+        for R in (build_relation(K, K, "track", epsilon=0.3),          # stencil
+                  build_relation(K, K, "track", epsilon=0.3, gA=np.ones((1, 3)),
+                                 gB=np.ones((1, 3))),                   # test
+                  Relation.from_mask(K, K, np.eye(len(K), dtype=bool))):   # cached mask
+            assert R.mask_rows([3, 0]).shape == (2, len(K))
+            with pytest.raises(InvalidArgument,
+                               match="refusing to materialize a 45-cell incidence mask"):
+                R.mask_rows([0, 1, 0])
+        with pytest.raises(InvalidArgument, match="225-cell"):
+            build_relation(K, K, "turnover", kappa=0.5).mask()

@@ -33,7 +33,6 @@ from hubspoke.transport import (
     closure_fix_demo,
     pullback,
     pushforward,
-    pushforward_contains,
     verify_adjunction,
     verify_frobenius,
     verify_functoriality,
@@ -100,15 +99,15 @@ class TestPushforward:
         f = agg_map(hub, spoke)
         R = build_relation(hub, spoke, "custom",
                            mask_fn=lambda X, Z: X[:, [0]] >= Z[None, :, 0] - 1e-9)
-        assert pushforward_contains(f, R, np.array([0.6, 0.4]), np.array([0.4, 0.6]))
-        assert not pushforward_contains(f, R, np.array([0.3, 0.7]), np.array([0.4, 0.6]))
-        # full membership agrees with the closed-form condition
         ps = pushforward(f, R)
+        assert ps.test(np.array([[0.6, 0.4]]), np.array([[0.4, 0.6]]))[0, 0]
+        assert not ps.test(np.array([[0.3, 0.7]]), np.array([[0.4, 0.6]]))[0, 0]
+        # full membership agrees with the closed-form condition
         for y in spoke.points:
             for z in spoke.points:
                 y0, z0 = y.coords[0] / 10, z.coords[0] / 10
                 want = max(0.0, z0) <= min(0.5, y0) + 1e-9
-                got = pushforward_contains(f, R, y.to_array(), z.to_array())
+                got = ps.test(y.to_array()[None], z.to_array()[None])[0, 0]
                 assert got == want
 
     def test_constant_map_collapses_first_components(self):
