@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .dots import action, verify_action_laws
-from .fixtures import _reference_triple
+from .fixtures import _reference
 from .geometry import (
     LatticeSpace,
     LinearFunctional,
@@ -221,7 +221,8 @@ def criterion_3(instances: int = 510, seed: int = 7):
             if not strict.holds:
                 violations.append(("strict_bc", i))
 
-    fixture = verify_frobenius(*_reference_triple())
+    maps, relations = _reference("frobenius")
+    fixture = verify_frobenius(maps["f"], relations["R"], relations["S"])
     ok = not violations and fixture.holds and strict_checked > 0
     return ok, (f"{3 * per_law} instances, {len(violations)} violations; "
                 f"strict BC verified on {strict_checked} cartesian squares; "

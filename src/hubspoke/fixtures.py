@@ -12,6 +12,9 @@ spaces, maps and relations a law should be checked on::
       "args":      {"f": "f", "R": "R", "S": "S"}           # law-specific
     }
 
+A document that is not an object of objects, or lacks a space, map,
+relation or argument the law reads, raises an InvalidArgument naming it.
+
 Without a document, `run_law` uses the reference fixture for that law: the
 shrink-toward-barycenter map with tracking and turnover relations for
 adjunction/frobenius/functoriality, and the aggregation chain for the
@@ -36,88 +39,82 @@ from .transport import (
 )
 
 
+def _pick(table: dict, name, what: str):
+    """table[name], or an InvalidArgument naming the missing `what`."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise InvalidArgument(f"fixture has no {what} {name!r}") from None
+
+
 def _materialize(doc: dict):
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k, {}), dict)
+                                          for k in ("spaces", "maps", "relations", "args"))):
+        raise InvalidArgument("a fixture must be a JSON object of JSON objects")
     spaces = {k: LatticeSpace.from_dict(v) for k, v in doc.get("spaces", {}).items()}
+
+    def ends(v):
+        return (_pick(spaces, v.get(end), "space") for end in ("domain", "codomain"))
+
     maps = {}
     for k, v in doc.get("maps", {}).items():
-        if v["rule"] != "affine":
+        if v.get("rule") != "affine":
             raise InvalidArgument("fixture maps must be affine")
-        maps[k] = ReimplMap(spaces[v["domain"]], spaces[v["codomain"]], "affine",
-                            matrix=np.asarray(v["matrix"], dtype=float),
-                            offset=np.asarray(v.get("offset",
-                                                    [0.0] * (spaces[v["codomain"]].n + 1)),
-                                              dtype=float),
-                            name=k)
-    relations = {}
-    for k, v in doc.get("relations", {}).items():
-        relations[k] = relation_from_dict(spaces[v["domain"]], spaces[v["codomain"]], v)
-    return spaces, maps, relations
+        maps[k] = ReimplMap(*ends(v), "affine", matrix=v.get("matrix"),
+                            offset=v.get("offset"), name=k)
+    return maps, {k: relation_from_dict(*ends(v), v) for k, v in doc.get("relations", {}).items()}
 
 
-def _reference_triple():
-    """Shrink map toward the barycenter with tracking and turnover relations."""
-    amb = enumerate_simplex(2, 10)
-    f = ReimplMap(amb, amb, "affine", matrix=0.8 * np.eye(3),
-                  offset=np.full(3, 0.2 / 3), name="shrink")
-    R = build_relation(amb, amb, "track", epsilon=0.10)
-    S = build_relation(amb, amb, "turnover", kappa=0.3)
-    return f, R, S
+def _reference(law: str) -> tuple[dict, dict]:
+    """A law's reference maps and relations by argument name: the
+    stock -> sector -> asset-class aggregation chain at 1/10 for the
+    Beck-Chevalley laws, else the shrink f toward the barycenter, a second
+    shrink g, and tracking R and turnover S on Delta^2 at 1/10."""
+    if law not in ("lax_bc", "strict_bc"):
+        amb = enumerate_simplex(2, 10)
+        f = ReimplMap(amb, amb, "affine", matrix=0.8 * np.eye(3),
+                      offset=np.full(3, 0.2 / 3), name="shrink")
+        g = ReimplMap(amb, amb, "affine", matrix=0.9 * np.eye(3),
+                      offset=np.full(3, 0.1 / 3), name="shrink2")
+        return {"f": f, "g": g}, {"R": build_relation(amb, amb, "track", epsilon=0.10),
+                                  "S": build_relation(amb, amb, "turnover", kappa=0.3)}
+    KA, KB, KD, Z = (enumerate_simplex(n, 10) for n in (3, 2, 1, 1))
 
+    def merge(dom, cod, rows, name):
+        return ReimplMap(dom, cod, "affine", matrix=np.array(rows, float), name=name)
 
-def _reference_square():
-    """Stock -> sector -> asset-class aggregation chain at 1/10."""
-    KA = enumerate_simplex(3, 10)
-    KB = enumerate_simplex(2, 10)
-    KD = enumerate_simplex(1, 10)
-    g = ReimplMap(KA, KB, "affine",
-                  matrix=np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], float),
-                  name="sectors")
-    f = ReimplMap(KB, KD, "affine",
-                  matrix=np.array([[1, 1, 0], [0, 0, 1]], float), name="classes")
-    fp = ReimplMap(KA, KD, "affine",
-                   matrix=np.array([[1, 1, 1, 0], [0, 0, 0, 1]], float), name="direct")
-    square = CommutingSquare(g=g, fp=fp, f=f, h=identity_map(KD))
-    Z = enumerate_simplex(1, 10)
+    maps = {"g": merge(KA, KB, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "sectors"),
+            "f": merge(KB, KD, [[1, 1, 0], [0, 0, 1]], "classes"),
+            "fp": merge(KA, KD, [[1, 1, 1, 0], [0, 0, 0, 1]], "direct"),
+            "h": identity_map(KD)}
     R = build_relation(KB, Z, "custom",
                        mask_fn=lambda Y, Zz: Y[:, [0]] <= 2 * Zz[:, 0][None, :] + 1e-9)
-    return square, R
+    return maps, {"R": R}
 
 
 def run_law(law: str, doc: dict | None = None) -> LawReport:
     """Verify a law on a fixture document, or on its reference fixture."""
     law = law.replace("-", "_")
-    if doc is not None:
-        _, maps, relations = _materialize(doc)
+    if doc is None:
+        maps, relations = _reference(law)
+        args = {k: k for k in (*maps, *relations)}
+    else:
+        maps, relations = _materialize(doc)
         args = doc.get("args", {})
-        if law == "adjunction":
-            return verify_adjunction(maps[args["f"]], relations[args["R"]],
-                                     relations[args["S"]])
-        if law == "frobenius":
-            return verify_frobenius(maps[args["f"]], relations[args["R"]],
-                                    relations[args["S"]])
-        if law == "functoriality":
-            return verify_functoriality(maps[args["f"]], maps[args["g"]],
-                                        relations[args["R"]])
-        square = CommutingSquare(g=maps[args["g"]], fp=maps[args["fp"]],
-                                 f=maps[args["f"]], h=maps[args["h"]])
-        R = relations[args["R"]]
-        if law == "lax_bc":
-            return verify_lax_bc(square, R)
-        if law == "strict_bc":
-            return verify_strict_bc(square, R)
-        raise InvalidArgument(f"unknown law {law!r}")
 
-    if law in ("adjunction", "frobenius", "functoriality"):
-        f, R, S = _reference_triple()
-        if law == "adjunction":
-            return verify_adjunction(f, R, S)
-        if law == "frobenius":
-            return verify_frobenius(f, R, S)
-        # functoriality: follow the shrink with another shrink
-        g = ReimplMap(f.codomain, f.codomain, "affine", matrix=0.9 * np.eye(3),
-                      offset=np.full(3, 0.1 / 3), name="shrink2")
-        return verify_functoriality(f, g, R, S=None)
+    def m(key):
+        return _pick(maps, _pick(args, key, "argument"), "map")
+
+    def r(key):
+        return _pick(relations, _pick(args, key, "argument"), "relation")
+
+    if law == "adjunction":
+        return verify_adjunction(m("f"), r("R"), r("S"))
+    if law == "frobenius":
+        return verify_frobenius(m("f"), r("R"), r("S"))
+    if law == "functoriality":
+        return verify_functoriality(m("f"), m("g"), r("R"))
     if law in ("lax_bc", "strict_bc"):
-        square, R = _reference_square()
-        return (verify_lax_bc if law == "lax_bc" else verify_strict_bc)(square, R)
+        square = CommutingSquare(g=m("g"), fp=m("fp"), f=m("f"), h=m("h"))
+        return (verify_lax_bc if law == "lax_bc" else verify_strict_bc)(square, r("R"))
     raise InvalidArgument(f"unknown law {law!r}")

@@ -11,7 +11,6 @@ array: hub i goes to codomain point img[i].
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -345,19 +344,3 @@ def _fiber_max(u4: ValueFunction, R: Relation) -> ValueFunction:
     if len(empty):
         raise Infeasible(f"empty forward fiber at {R.domain.points[empty[0]]}")
     return ValueFunction(R.domain, _over_fibers(np.max, mask, u4.values()))
-
-
-def lipschitz_probe(f: ReimplMap) -> float:
-    """max ||f(x) - f(x')|| / ||x - x'|| over adjacent lattice points (diagnostic).
-
-    x' is adjacent to x when one unit of holdings moves between two coordinates.
-    """
-    K, images = f.domain, f.images
-    E, worst = np.eye(K.n + 1, dtype=np.int64), 0.0
-    for i, j in itertools.permutations(range(K.n + 1), 2):
-        nb = K.index_holdings(K.holdings - E[i] + E[j])
-        x = np.flatnonzero(nb >= 0)
-        num = np.linalg.norm(images[nb[x]] - images[x], axis=1)
-        den = np.linalg.norm(K.array[nb[x]] - K.array[x], axis=1)
-        worst = max(worst, float((num / den).max(initial=0.0)))
-    return worst

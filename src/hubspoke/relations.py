@@ -14,7 +14,8 @@ membership is derived from `test`, the pair set from the incidence mask.
 
 The incidence rows of domain points i are read by index, `mask_rows(i)`:
 the cached mask, else the stencil scatter below, else `test` on the points.
-`mask`, determinization and the lattice transport laws read rows this way.
+`mask`, determinization and `members(X, Y)`, the one membership rule of
+the transport laws and the 2-cell test, read rows this way.
 
 On the lattice, a translation-invariant relation -- tracking with
 identity attributes, turnover, and the diagonal projectors -- is a
@@ -210,6 +211,20 @@ class Relation:
         for k, j in self._scatter(i):
             out[k, j] = True
         return out & self._passes if self.screen else out
+
+    def members(self, X: np.ndarray, Y: Optional[np.ndarray] = None,
+                i: Optional[np.ndarray] = None) -> np.ndarray:
+        """`test(X, Y)`, Y every codomain point by default.  When i and j, the
+        point indices of X's and Y's rows (`index_vectors`; i may be given),
+        are all >= 0, it is `mask_rows(i)[:, j]`, so a row near a point is
+        decided there; j = every codomain point in order skips the gather."""
+        i = self.domain.index_vectors(X) if i is None else i
+        j = None if Y is None else self.codomain.index_vectors(Y)
+        if (i < 0).any() or (j is not None and (j < 0).any()):
+            return self.test(X, self.codomain.array if Y is None else Y)
+        rows = self.mask_rows(i)
+        every = j is None or np.array_equal(j, np.arange(len(self.codomain)))
+        return rows if every else rows[:, j]
 
     def mask(self) -> np.ndarray:
         """Boolean (|domain|, |codomain|) incidence matrix (cached)."""
@@ -511,10 +526,10 @@ def two_cell_exists(f, g, R: Relation, S: Relation) -> bool:
 
     f: K1 -> K2, g: K3 -> K4, R in K1 x K3, S in K2 x K4.  Down-then-right
     pairs (f is applied to the hub, g to the aligned partner) are checked
-    against S's membership test.
+    against S's membership, `S.members(f.images, g.images)`.
     """
-    if not f.domain.same_points(R.domain):
-        raise InvalidArgument("f must start at R's domain")
-    if not g.domain.same_points(R.codomain):
-        raise InvalidArgument("g must start at R's codomain")
-    return not (R.mask() & ~S.test(f.images, g.images)).any()
+    for m, start, end, a, b in ((f, R.domain, S.domain, "f", "domain"),
+                                (g, R.codomain, S.codomain, "g", "codomain")):
+        if not (m.domain.same_points(start) and m.codomain.same_points(end)):
+            raise InvalidArgument(f"{a} must map R's {b} to S's {b}")
+    return not (R.mask() & ~S.members(f.images, g.images, i=f.img)).any()

@@ -5,10 +5,11 @@ Pushforwards carry continuous image points, so results are pair sets: left
 right (spoke-side) points of one lattice space by index, and a boolean
 mask of the pairs.  Every equality law is verified with both sides built
 from the same hub enumeration, which keeps float comparisons bitwise-stable.
-A lattice-valued map's images are its points (`ReimplMap.img`): pullback,
-membership in S and the Beck-Chevalley checks read them by point index
-(`Relation.mask_rows`); `S.test` runs only on rows off the lattice, and
-`PairSet.test` still matches its left vectors within the tolerance.
+Membership in S is one rule, `Relation.members`: pullback, pair-set
+filters and the adjunction's hub side, the 2-cell `two_cell_exists(f,
+id_Z, R, S)`, read lattice points by index and test only rows off the
+lattice.  `PairSet.test` looks bitwise lattice rows up by key, and rows
+are OR-ed per group by one helper, `_group_or`.
 """
 
 from __future__ import annotations
@@ -24,13 +25,32 @@ from .geometry import (
     InvalidArgument,
     LatticeSpace,
     enumerate_simplex,
+    lattice_rows,
 )
 from .optimize import ReimplMap, compose_maps, identity_map, inclusion_map
-from .relations import Relation, _same, explicit_relation, intersect
+from .relations import Relation, _same, explicit_relation, intersect, two_cell_exists
 
 MAX_WITNESSES = 10
 
 _KEY_DECIMALS = 9
+
+
+def _group_or(M: np.ndarray, group: np.ndarray, size: int, rows=slice(None)) -> np.ndarray:
+    """(size, M.shape[1]) bool: row g is the OR of the rows M[rows][k] with
+    group[k] == g, computed on bit-packed rows."""
+    packed = np.zeros((size, (M.shape[1] + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, group, np.packbits(M, axis=1)[rows])
+    return np.unpackbits(packed, axis=1, count=M.shape[1]).view(bool)
+
+
+def _grid_keys(V: np.ndarray, N: int) -> Optional[np.ndarray]:
+    """Base-(N+1) keys of the rows of V when every row is bitwise a point of
+    the 1/N grid on [0, 1]^d (`lattice_rows` at tolerance 0), else None."""
+    C, on = lattice_rows(V, N, 0.0)
+    d = V.shape[1]
+    if on.all() and (N + 1) ** d <= np.iinfo(np.int64).max:
+        return C @ (N + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    return None
 
 
 def _merge_rows(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,9 +61,14 @@ def _merge_rows(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = inv.reshape(-1)
     last = np.zeros(len(keys), dtype=np.intp)
     np.maximum.at(last, inv, np.arange(len(V)))
-    merged = np.zeros((len(keys), M.shape[1]), dtype=bool)
-    np.logical_or.at(merged, inv, M)
-    return V[last], merged
+    return V[last], _group_or(M, inv, len(keys))
+
+
+def _first_pairs(mask: np.ndarray, A: np.ndarray, B: np.ndarray) -> list:
+    """The first MAX_WITNESSES true cells (a, b) of mask as (A[a], B[b]) tuples."""
+    a, b = np.nonzero(mask)
+    return [(tuple(A[i].tolist()), tuple(B[j].tolist()))
+            for i, j in zip(a[:MAX_WITNESSES], b[:MAX_WITNESSES])]
 
 
 def _trim(left: np.ndarray, cols: np.ndarray, mask: np.ndarray) -> tuple:
@@ -98,25 +123,32 @@ class PairSet:
         return {(tuple(L[i]), tuple(R[j])) for i, j in zip(*np.nonzero(self.mask))}
 
     def test(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """(|X|, |Y|) bool: x lies within FLOAT_TOL of a left vector,
-        coordinatewise, paired with the right point that y denotes."""
+        """(|X|, |Y|) bool: x lies within FLOAT_TOL of a left vector, paired
+        with the right point y denotes; bitwise grid points are within
+        FLOAT_TOL iff equal, so such x and left vectors match by key."""
+        if not len(self.cols):
+            return np.zeros((len(X), len(Y)), dtype=bool)
         col = np.full(len(self.space) + 1, -1)   # index -1 (no point) reads the spare -1
         col[self.cols] = np.arange(len(self.cols))
         k = col[self.space.index_vectors(Y)]
-        x, a = np.nonzero(_same(X, self.left))
-        hit = np.zeros((len(X), len(self.cols)), dtype=bool)
-        np.logical_or.at(hit, x, self.mask[a])      # OR of the mask rows x matches
-        out = np.zeros((len(X), len(Y)), dtype=bool)
-        out[:, k >= 0] = hit[:, k[k >= 0]]
+        kx = _grid_keys(X, self.space.N) if X.shape[1:] == self.left.shape[1:] else None
+        kl = None if kx is None else _grid_keys(self.left, self.space.N)
+        if kl is None:
+            x, a = np.nonzero(_same(X, self.left))
+        else:       # left is in key order; a past the last key reads the spare -1
+            a = np.searchsorted(kl, kx)
+            x = np.flatnonzero(np.append(kl, -1)[a] == kx)
+            a = a[x]
+        hit = _group_or(self.mask, x, len(X), a)     # OR of the mask rows x matches
+        out = hit[:, np.maximum(k, 0)]
+        out[:, k < 0] = False                        # y is not a right point
         return out
 
     def witnesses_not_in(self, other: "PairSet") -> list:
         """The first MAX_WITNESSES pairs, in rounded order, that are not
         members of other (its `test`)."""
         right = self.right
-        i, j = np.nonzero(self.mask & ~other.test(self.left, right))
-        return [(tuple(self.left[a].tolist()), tuple(right[b].tolist()))
-                for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES])]
+        return _first_pairs(self.mask & ~other.test(self.left, right), self.left, right)
 
 
 @dataclass(frozen=True)
@@ -136,12 +168,10 @@ class LawReport:
 
     def to_dict(self) -> dict:
         def plain(v):
-            if isinstance(v, np.ndarray):
+            if isinstance(v, (np.ndarray, np.generic)):
                 return v.tolist()
             if isinstance(v, (tuple, list, set, frozenset)):
                 return [plain(x) for x in v]
-            if isinstance(v, (np.integer, np.floating, np.bool_)):
-                return v.item()
             return v
 
         return {
@@ -158,9 +188,7 @@ def pullback(f: ReimplMap, S: Relation) -> Relation:
     """f*S = {(x, z): (f(x), z) in S}, an exact relation on f's domain lattice."""
     if not f.codomain.same_points(S.domain):
         raise InvalidArgument("pullback: f must land in S's domain")
-    if f.is_lattice_valued():
-        return Relation.from_mask(f.domain, S.codomain, S.mask_rows(f.img))
-    return Relation.from_mask(f.domain, S.codomain, S.test(f.images, S.codomain.array))
+    return Relation.from_mask(f.domain, S.codomain, S.members(f.images, i=f.img))
 
 
 def pushforward(f: ReimplMap, R: Relation) -> PairSet:
@@ -172,38 +200,24 @@ def pushforward(f: ReimplMap, R: Relation) -> PairSet:
     return PairSet.from_mask(f.images, R.codomain, R.mask())
 
 
-def _membership(pairs: PairSet, S: Relation) -> np.ndarray:
-    """(len(left), len(cols)) bool: the pairs in S, read from S's rows by point
-    index when the left rows are points of S's domain and cols of its codomain."""
-    i = S.domain.index_vectors(pairs.left)
-    if (i >= 0).all() and pairs.space.same_points(S.codomain):
-        return S.mask_rows(i)[:, pairs.cols]
-    return S.test(pairs.left, pairs.right)
-
-
 def _within(pairs: PairSet, S: Relation) -> PairSet:
     """The pairs of a pair set that are members of S (still canonical)."""
-    left, cols, mask = _trim(pairs.left, pairs.cols, pairs.mask & _membership(pairs, S))
+    left, cols, mask = _trim(pairs.left, pairs.cols,
+                             pairs.mask & S.members(pairs.left, pairs.right))
     return PairSet(left, pairs.space, cols, mask)
 
 
 def verify_adjunction(f: ReimplMap, R: Relation, S: Relation) -> LawReport:
-    """R included in f*S  iff  f_!R included in S, checked independently."""
-    pb = pullback(f, S)
+    """R included in f*S  iff  f_!R included in S, checked independently.
+    R included in f*S is the 2-cell with f on top and id_Z below."""
     R_mask = R.mask()
-    # R subset of f*S
-    left = not (R_mask & ~pb.test(R.domain.array, R.codomain.array)).any()
+    left = two_cell_exists(f, identity_map(R.codomain), R, S)
     push = pushforward(f, R)
-    right = not (push.mask & ~_membership(push, S)).any()  # f_!R subset of S
+    right = not (push.mask & ~S.members(push.left, push.right)).any()  # f_!R subset of S
     holds = left == right
-    witnesses = ()
-    if not holds:
-        i, j = np.nonzero(R_mask)
-        witnesses = tuple((tuple(R.domain.array[a].tolist()),
-                           tuple(R.codomain.array[b].tolist()))
-                          for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES]))
     return LawReport("adjunction", holds, int(R_mask.sum()), len(push),
-                     witnesses=witnesses,
+                     witnesses=() if holds else tuple(
+                         _first_pairs(R_mask, R.domain.array, R.codomain.array)),
                      detail={"hub_side": left, "spoke_side": right})
 
 
@@ -279,8 +293,7 @@ def _require_lattice_valued(square: CommutingSquare):
 def _late_audit_pairs(square: CommutingSquare, R: Relation) -> PairSet:
     """h*(f_! R) enumerated over K_C x Z: R's rows OR-ed per image point of
     f, read at the image points of h (lattice-valued squares only)."""
-    pushed = np.zeros((len(square.f.codomain), len(R.codomain)), dtype=bool)
-    np.logical_or.at(pushed, square.f.img, R.mask())
+    pushed = _group_or(R.mask(), square.f.img, len(square.f.codomain))
     return PairSet.from_mask(square.h.domain.array, R.codomain, pushed[square.h.img])
 
 
@@ -304,9 +317,7 @@ def pointwise_cartesian(square: CommutingSquare) -> tuple[bool, list]:
     consistent = square.f.img[:, None] == square.h.img
     lifted = np.zeros((len(K_B), len(K_C)), dtype=bool)
     lifted[square.g.img, square.fp.img] = True
-    i, j = np.nonzero(consistent & ~lifted)
-    failures = [(tuple(K_B.array[a].tolist()), tuple(K_C.array[b].tolist()))
-                for a, b in zip(i[:MAX_WITNESSES], j[:MAX_WITNESSES])]
+    failures = _first_pairs(consistent & ~lifted, K_B.array, K_C.array)
     return not failures, failures
 
 
@@ -325,20 +336,6 @@ def verify_strict_bc(square: CommutingSquare, R: Relation) -> LawReport:
 
 
 # -- closure-fix counterexamples ----------------------------------------------
-
-
-def _half_open_interval_fixture(N: int = 10):
-    """The unit-interval lattice with and without its right endpoint.
-
-    Delta^1 plays [0, 1] through the first coordinate; removing the point
-    (N, 0) models the half-open interval whose missing limit breaks the
-    patched ('closure-fix') pushforward.
-    """
-    full = enumerate_simplex(1, N)
-    half = LatticeSpace.from_points(
-        1, N, [p for p in full.points if p.coords[0] != N])
-    endpoint = GridPoint((N, 0), N)
-    return full, half, endpoint
 
 
 def _endpoint_closure(pairs: PairSet, endpoint: GridPoint, N: int) -> PairSet:
@@ -366,8 +363,12 @@ def closure_fix_demo(which: str, N: int = 10, closed_hub: bool = False) -> LawRe
     versus RHS {(1,1)}.  With closed_hub=True the endpoint is restored
     and the laws hold.
     """
-    full, half, endpoint = _half_open_interval_fixture(N)
-    hub = full if closed_hub else half
+    # Delta^1 plays [0, 1] through the first coordinate; without the point
+    # (N, 0) it is the half-open interval whose missing limit breaks the
+    # patched ('closure-fix') pushforward
+    full, endpoint = enumerate_simplex(1, N), GridPoint((N, 0), N)
+    hub = full if closed_hub else LatticeSpace.from_points(
+        1, N, [p for p in full.points if p.coords[0] != N])
     S = explicit_relation(full, full, [(endpoint, endpoint)])
     incl = inclusion_map(hub, full)
 

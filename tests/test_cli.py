@@ -139,6 +139,66 @@ class TestVerify:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: square: g must land in f's domain K_B\n"
 
+    @staticmethod
+    def _full_fixture():
+        """Every space, map, relation and argument any law reads: identity
+        maps on one space and two turnover relations."""
+        eye = np.eye(3).tolist()
+        return {
+            "spaces": {"amb": {"n": 2, "N": 4, "constraints": []}},
+            "maps": {k: {"rule": "affine", "matrix": eye, "domain": "amb", "codomain": "amb"}
+                     for k in ("f", "g", "fp", "h")},
+            "relations": {k: {"kind": "turnover", "params": {"kappa": kappa},
+                              "domain": "amb", "codomain": "amb"}
+                          for k, kappa in (("R", 0.25), ("S", 0.5))},
+            "args": {k: k for k in ("f", "g", "fp", "h", "R", "S")},
+        }
+
+    @pytest.mark.parametrize("law,first", [("adjunction", "f"), ("frobenius", "f"),
+                                           ("functoriality", "f"), ("lax-bc", "g"),
+                                           ("strict-bc", "g")])
+    @pytest.mark.parametrize("case", ["document_is_a_list", "no_maps_or_args",
+                                      "argument_missing", "argument_names_no_map",
+                                      "argument_is_not_a_name",
+                                      "argument_names_no_relation", "map_names_no_space",
+                                      "relation_names_no_space", "args_not_an_object"])
+    def test_incomplete_fixture_exit_two(self, capsys, tmp_path, law, first, case):
+        doc = self._full_fixture()
+        path = tmp_path / "fix.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--law", law, "--fixture", str(path)]) == 0
+        capsys.readouterr()
+        if case == "document_is_a_list":
+            doc, message = [doc], "a fixture must be a JSON object of JSON objects"
+        elif case == "no_maps_or_args":
+            doc, message = {"spaces": {}, "args": {}}, f"fixture has no argument {first!r}"
+        elif case == "argument_missing":
+            del doc["args"]["R"]
+            message = "fixture has no argument 'R'"
+        elif case == "argument_names_no_map":
+            doc["args"][first] = "ghost"
+            message = "fixture has no map 'ghost'"
+        elif case == "argument_is_not_a_name":
+            doc["args"][first] = [first]
+            message = f"fixture has no map {[first]!r}"
+        elif case == "argument_names_no_relation":
+            doc["args"]["R"] = "ghost"
+            message = "fixture has no relation 'ghost'"
+        elif case == "map_names_no_space":
+            doc["maps"][first]["codomain"] = "ghost"
+            message = "fixture has no space 'ghost'"
+        elif case == "relation_names_no_space":
+            doc["relations"]["R"]["domain"] = "ghost"
+            message = "fixture has no space 'ghost'"
+        else:
+            doc["args"] = list(doc["args"])
+            message = "a fixture must be a JSON object of JSON objects"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "--law", law, "--fixture", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestDemo:
     def test_closure_fix_violates(self, capsys):

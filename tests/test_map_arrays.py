@@ -9,6 +9,9 @@ points (`ReimplMap.img`, `PairSet.test`, the Beck-Chevalley checks)
 replaced.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -44,6 +47,7 @@ from hubspoke.relations import (
 from hubspoke.transport import (
     CommutingSquare,
     PairSet,
+    _group_or,
     _late_audit_pairs,
     _within,
     pointwise_cartesian,
@@ -443,6 +447,25 @@ class TestPushforward:
                 assert ps.test(y.to_array()[None], z.to_array()[None])[0, 0] \
                     == ops.contains(y.to_array(), z.to_array())
 
+    @settings(max_examples=100, deadline=None)
+    @given(width=st.sampled_from([0, 1, 7, 8, 9, 17]), rows=st.integers(0, 12),
+           size=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_packed_group_or_matches_logical_or_at(self, width, rows, size, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.random((rows, width)) < 0.3
+        group = rng.integers(0, size, rows)          # groups no row falls in stay empty
+        want = np.zeros((size, width), dtype=bool)
+        np.logical_or.at(want, group, M)
+        got = _group_or(M, group, size)
+        assert got.dtype == bool and np.array_equal(got, want)
+        # rows taken by index: repeated and unsorted
+        take = rng.integers(0, max(rows, 1), rows and rows + 3)
+        group = rng.integers(0, size, len(take))
+        want = np.zeros((size, width), dtype=bool)
+        np.logical_or.at(want, group, M[take])
+        assert np.array_equal(_group_or(M, group, size, take), want)
+        assert _group_or(M[:0], group[:0], 0).shape == (0, width)
+
     def test_representative_is_the_last_related_hub_of_its_image(self):
         # (x0 + x1, x2) gives 3/10 as 0.1 + 0.2 and as 0.3 + 0.0: one rounded
         # image, different bits; the pair set keeps the last related hub's
@@ -498,6 +521,39 @@ class TestPointIndices:
         assert np.array_equal(ps.test(X, Y), oracle_pair_test(ps, X, Y))
         wide = np.hstack([Y, np.zeros((len(Y), 1))])
         assert not ps.test(X, wide).any() and not oracle_pair_test(ps, X, wide).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pair_set_test_by_key_matches_float_matches(self, data):
+        n, N = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 10))
+        K, Z = lattice(data.draw, n, N), lattice(data.draw, 1, N)
+        H = enumerate_simplex(n, N).holdings
+        amb = H / N
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        nudge = data.draw(st.sampled_from([7e-10, -7e-10])) * (-1.0) ** np.arange(n + 1)
+        off = rng.dirichlet(np.ones(n + 1), 6)
+        lefts = {"lattice": K.array, "nudged": K.array + nudge, "off": off,
+                 "mixed": np.vstack([K.array, off])}
+        left_kind = data.draw(st.sampled_from(sorted(lefts)))
+        left = lefts[left_kind]
+        density = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        ps = PairSet.from_mask(left, Z, rng.random((len(left), len(Z))) < density)
+        Y = np.vstack([enumerate_simplex(1, N).array, rng.dirichlet(np.ones(2), 3)])
+        # grid rows off the simplex whose base-(N+1) digits carry into the
+        # key of a lattice point: (h0 - 1, h1 + N + 1, ...), (h0 + 1, h1 - N - 1, ...)
+        carry = np.r_[-1, N + 1, np.zeros(n - 1, int)]
+        xs = {"lattice": amb, "nudged": amb - nudge, "same_nudge": amb + nudge,
+              "off": off, "finer": enumerate_simplex(n, 2 * N).array,
+              "mixed": np.vstack([amb, amb + nudge]),
+              "carry_up": (H[H[:, 0] > 0] + carry) / N,
+              "carry_down": (H[H[:, 0] < N] - carry) / N}
+        for x_kind, X in xs.items():
+            # both sides bitwise grid points: the key lookup, with no float match
+            keyed = left_kind == "lattice" and x_kind == "lattice"
+            with (mock.patch("hubspoke.transport._same", side_effect=AssertionError) if keyed
+                  else contextlib.nullcontext()):
+                got = ps.test(X, Y)
+            assert np.array_equal(got, oracle_pair_test(ps, X, Y)), x_kind
 
     @settings(max_examples=100, deadline=None)
     @given(squares())

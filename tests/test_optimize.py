@@ -20,7 +20,6 @@ from hubspoke.optimize import (
     check_square_commutes,
     compose_maps,
     identity_map,
-    lipschitz_probe,
     objective_function,
 )
 from hubspoke.relations import (
@@ -179,32 +178,6 @@ class TestSquares:
         for x in K.points:  # two-path oracle, every hub point
             assert np.allclose(fp.evaluate(g.evaluate(x)),
                                gp.evaluate(f.evaluate(x)))
-
-    def test_lipschitz_probe_identity(self):
-        K = enumerate_simplex(2, 8)
-        assert lipschitz_probe(identity_map(K)) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("cap", ["x1<=1", "x1<=0.5", "x2>=0.3"])
-    def test_lipschitz_probe_matches_pointwise_oracle(self, cap):
-        # the per-point neighbor walk over a coords dict that the index replaced
-        K = restrict(enumerate_simplex(2, 8), [parse_constraint(cap, 3)])
-        rng = np.random.default_rng(0)
-        M = rng.dirichlet(np.ones(3), size=3).T
-        f = ReimplMap(K, enumerate_simplex(2, 8), "affine", matrix=M,
-                      check_into=False)
-        index = {p.coords: p for p in K.points}
-        worst = 0.0
-        for p in K.points:
-            for i in range(3):
-                for j in range(3):
-                    q = list(p.coords)
-                    q[i] -= 1
-                    q[j] += 1
-                    nb = index.get(tuple(q))
-                    if i != j and nb is not None:
-                        num = np.linalg.norm(f.evaluate(nb) - f.evaluate(p))
-                        worst = max(worst, num / np.linalg.norm(nb.to_array() - p.to_array()))
-        assert lipschitz_probe(f) == pytest.approx(worst, rel=1e-12)
 
 
 class TestMapMechanics:

@@ -299,6 +299,26 @@ class TestTwoCell:
         if two_cell_exists(idm, idm, R_big, S):
             assert two_cell_exists(idm, idm, R_small, S)   # shrinking R keeps truth
 
+    def test_maps_must_land_in_the_spaces_of_s(self):
+        K = enumerate_simplex(1, 4)
+        half = restrict(K, [parse_constraint("x1<=0.5", 2)])
+        R, idm = full_relation(K, K), identity_map(K)
+        with pytest.raises(InvalidArgument, match="f must map R's domain to S's domain"):
+            two_cell_exists(idm, idm, R, full_relation(half, K))
+        with pytest.raises(InvalidArgument, match="g must map R's codomain to S's codomain"):
+            two_cell_exists(idm, idm, R, full_relation(K, half))
+
+    def test_nudged_images_are_decided_at_their_points(self):
+        # f and g move the images 7e-10 apart in opposite directions: the
+        # float rule x0 >= y0 - 1e-9 fails on the diagonal, the points pass
+        K = enumerate_simplex(1, 4)
+        S = build_relation(K, K, "custom",
+                           mask_fn=lambda X, Y: X[:, [0]] >= Y[None, :, 0] - 1e-9)
+        f = ReimplMap(K, K, "affine", matrix=np.eye(2), offset=[-7e-10, 7e-10])
+        g = ReimplMap(K, K, "affine", matrix=np.eye(2), offset=[7e-10, -7e-10])
+        assert not np.diagonal(S.test(f.images, g.images)).any()
+        assert two_cell_exists(f, g, diagonal(K), S)
+
     def test_fund_etf_square_with_loose_factor_tolerance(self):
         # funds -> ETFs and benchmarks -> factors are both shrink maps; the
         # square has a 2-cell when the downstream factor tolerance is looser
@@ -721,6 +741,19 @@ def _relation_for_rows(kind, domain, codomain, rng):
                           gA=rng.integers(-2, 3, size=(2, d)), gB=rng.integers(-2, 3, size=(2, d)))
 
 
+def _map_within(kind, K, sign):
+    """A map of K to itself: images that are points of the lattice bitwise
+    ("identity", or "perm", which leaves a restricted K), within 7e-10 of
+    K's points ("nudged"), or off the lattice (the fund/ETF "shrink")."""
+    d = K.n + 1
+    if kind == "identity":
+        return identity_map(K)
+    matrix, offset = {"perm": (np.eye(d)[::-1], None),
+                      "nudged": (np.eye(d), sign * (-1.0) ** np.arange(d)),
+                      "shrink": (0.8 * np.eye(d), np.full(d, 0.2 / d))}[kind]
+    return ReimplMap(K, K, "affine", matrix=matrix, offset=offset, check_into=False)
+
+
 class TestMaskRows:
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(MASK_ROW_KINDS),
@@ -738,6 +771,33 @@ class TestMaskRows:
         assert got.dtype == bool and np.array_equal(got, want)
         assert np.array_equal(R.mask()[i], want)
         assert np.array_equal(R.mask_rows(i), want)     # now from the cached mask
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(MASK_ROW_KINDS),
+           shape=st.sampled_from(["same", "hub_to_amb", "amb_to_hub"]),
+           n=st.integers(1, 2), N=st.integers(1, 10), cap=st.integers(0, 10),
+           seed=st.integers(0, 2**16), cached=st.booleans(),
+           maps=st.tuples(*[st.sampled_from(["identity", "perm", "nudged", "shrink"])] * 2),
+           signs=st.tuples(*[st.sampled_from([7e-10, -7e-10])] * 2))
+    def test_members_and_two_cell_match_the_float_rule(self, kind, shape, n, N, cap, seed,
+                                                       cached, maps, signs):
+        rng = np.random.default_rng(seed)
+        S = _relation_for_rows(kind, *_spaces(shape, N, cap, n), rng)
+        if cached:
+            S.mask()
+        f, g = (_map_within(k, K, sign)
+                for k, K, sign in zip(maps, (S.domain, S.codomain), signs))
+        got = S.members(f.images, g.images)
+        # the float rule, at the points the images denote when every one does
+        on = f.is_lattice_valued() and g.is_lattice_valued()
+        want = S.test(*((m.codomain.array[m.img] if on else m.images) for m in (f, g)))
+        assert got.dtype == bool and np.array_equal(got, want)
+        if "nudged" not in maps:
+            assert np.array_equal(got, S.test(f.images, g.images))
+        R = Relation.from_mask(S.domain, S.codomain,
+                               rng.random((len(S.domain), len(S.codomain))) < 0.3)
+        assert two_cell_exists(f, g, R, S) == (not (R.mask() & ~want).any())
+        assert two_cell_exists(f, g, Relation.from_mask(S.domain, S.codomain, want), S)
 
     def test_refuses_past_the_mask_limit(self, monkeypatch):
         from hubspoke import relations

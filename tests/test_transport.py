@@ -1,4 +1,6 @@
 import itertools
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +356,17 @@ class TestLawReport:
                                 build_relation(K, K, "turnover", kappa=0.2),
                                 build_relation(K, K, "turnover", kappa=0.4))
         json.dumps(rep.to_dict())
+
+
+# The sha256 prefixes `scripts/desk_laws.py` prints at Delta^2 @ 1/50: the
+# pullback mask and the JSON of each law report.  A change to the transport
+# code must leave these bytes as they are.
+DESK_LAWS_AT_50 = [("pullback", "a01631e1"), ("adjunction", "a953c9ab"),
+                   ("frobenius", "ebaa0992"), ("functoriality", "ff05a9d5"),
+                   ("lax_bc", "f65d023c"), ("strict_bc", "40d4c1b1")]
+
+
+@pytest.mark.parametrize("case,digest", DESK_LAWS_AT_50)
+def test_desk_laws_digests_pinned(case, digest):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "desk_laws.py"
+    assert runpy.run_path(str(script))["probe"](50, case)[3] == digest
