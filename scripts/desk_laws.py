@@ -8,11 +8,13 @@ pullback(f, S), the adjunction, Frobenius and, with g the metric map of
 the full lattice into itself under two other attributes, functoriality
 with its pullback dual.  The lax and strict Beck-Chevalley cases check
 CommutingSquare(g=f, fp=g.f, f=g, h=id) against S, which lives on g's
-domain.  Each case runs in a fresh process, so its peak is its own: the
-interpreter and numpy, the set-up and the check.  A line gives the case,
-the check's wall time, the process's peak RSS and a digest of the result
-(the sha256 prefix of the pullback mask, or of the LawReport's JSON), so
-two versions of the code can be compared.
+domain.  The metric cases run the dilated pushforward of R and the
+eroded pullback of S along f at radius 0.03.  Each case runs in a fresh
+process, so its peak is its own: the interpreter and numpy, the set-up
+and the check.  A line gives the case, the check's wall time, the
+process's peak RSS and a digest of the result (the sha256 prefix of a
+transported relation's mask, or of the LawReport's JSON), so two
+versions of the code can be compared.
 
 Run:  python scripts/desk_laws.py
 """
@@ -28,6 +30,7 @@ import numpy as np
 from hubspoke.geometry import enumerate_simplex, parse_constraint, restrict
 from hubspoke.optimize import ObjectiveSpec, build_metric_reimpl, compose_maps, identity_map
 from hubspoke.relations import build_relation
+from hubspoke.stochastic import metric_pullback, metric_pushforward
 from hubspoke.transport import (
     CommutingSquare,
     pullback,
@@ -39,7 +42,9 @@ from hubspoke.transport import (
 )
 
 RESOLUTIONS = (50, 100)
-CASES = ("pullback", "adjunction", "frobenius", "functoriality", "lax_bc", "strict_bc")
+CASES = ("pullback", "adjunction", "frobenius", "functoriality", "lax_bc", "strict_bc",
+         "metric_pushforward", "metric_pullback")
+METRIC_RADIUS = 0.03
 
 
 def probe(N, case):
@@ -63,13 +68,17 @@ def probe(N, case):
         out = verify_frobenius(f, R, S)
     elif case == "functoriality":
         out = verify_functoriality(f, g, R, S=S)
+    elif case == "metric_pushforward":
+        out = metric_pushforward(f, R, METRIC_RADIUS).mask()
+    elif case == "metric_pullback":
+        out = metric_pullback(f, S, METRIC_RADIUS).mask()
     elif case == "lax_bc":
         out = verify_lax_bc(square, S)
     else:
         out = verify_strict_bc(square, S)
     dt = time.perf_counter() - t0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    if case == "pullback":
+    if isinstance(out, np.ndarray):
         summary = f"{int(out.sum())} pairs"
         blob = np.packbits(out).tobytes()
     else:

@@ -47,6 +47,7 @@ from .stochastic import (
     gaussian_radius_oracle,
     hdr_regions,
     lattice_components,
+    metric_pullback,
     metric_pullback_check,
     metric_pushforward,
     compose_radius,
@@ -432,22 +433,10 @@ def criterion_12(instances: int = 210, seed: int = 11):
         else:
             S = _random_relation(rng, K2, Z)
         r = float(rng.choice([0.0, 0.05, 0.1]))
-        f_img = f.images
         S_mask = S.mask()
         R_mask = R.mask()
-        Y = K2.array
-        # dilated pushforward mask over K2 x Z
         push = metric_pushforward(f, R, r).mask()
-        # erosion-based pullback: hub passes iff no violating lattice point
-        # sits within r of f(x), per z-slice
-        pull = np.zeros((len(K1), len(Z)), dtype=bool)
-        for zi in range(len(Z)):
-            viol = Y[~S_mask[:, zi]]
-            if len(viol) == 0:
-                pull[:, zi] = True
-                continue
-            d2 = ((f_img[:, None, :] - viol[None, :, :]) ** 2).sum(axis=2)
-            pull[:, zi] = d2.min(axis=1) > r * r
+        pull = metric_pullback(f, S, r).mask()
         # one-way adjunction: push subset of S  implies  R subset of pull
         if bool(np.all(S_mask | ~push)):
             adj_checked += 1

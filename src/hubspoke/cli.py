@@ -22,6 +22,7 @@ from .geometry import (
     LatticeSpace,
     LinearConstraint,
     LinearFunctional,
+    _space_shape,
     enumerate_simplex,
     parse_constraint,
     parse_step,
@@ -32,7 +33,6 @@ from .relations import build_relation
 from .stochastic import (
     KernelSpec,
     builtin_scenarios,
-    comparison_table,
     metric_pullback_check,
     sample_kernel,
     safety_radius,
@@ -43,7 +43,6 @@ from .transport import closure_fix_demo
 from . import fixtures
 
 DEFAULT_FEE = LinearFunctional((10, 5, 0), units="bps")
-SPACE_KEYS = ("n", "N")
 
 
 def _env_seed(args_seed):
@@ -52,18 +51,14 @@ def _env_seed(args_seed):
     return int(os.environ.get("HS_SEED", "42"))
 
 
-def _read_json(path: str, keys: tuple = ()):
-    """The JSON document in a file, which must hold `keys`; a missing,
-    unreadable or malformed file is an InvalidArgument."""
+def _read_json(path: str):
+    """The JSON document in a file; a missing, unreadable or malformed file
+    is an InvalidArgument."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as e:
         raise InvalidArgument(f"cannot read JSON from {path}: {e}") from None
-    for key in keys:
-        if key not in doc:
-            raise InvalidArgument(f"{path} has no {key!r} key")
-    return doc
 
 
 def _emit(payload, fmt="json"):
@@ -107,8 +102,8 @@ def cmd_demo(args) -> int:
 
 def cmd_build_map(args) -> int:
     spec = ObjectiveSpec.from_dict(_read_json(args.spec))
-    hub = LatticeSpace.from_dict(_read_json(args.hub, SPACE_KEYS))
-    spoke = LatticeSpace.from_dict(_read_json(args.spoke, SPACE_KEYS))
+    hub = LatticeSpace.from_dict(_read_json(args.hub))
+    spoke = LatticeSpace.from_dict(_read_json(args.spoke))
     f = build_metric_reimpl(hub, spoke, spec)
     table = {",".join(map(str, h)): y for h, y in zip(hub.holdings.tolist(),
                                                     spoke.holdings[f.img].tolist())}
@@ -154,19 +149,18 @@ def cmd_menu(args) -> int:
             raise InvalidArgument("only the core-satellite template is wired to the CLI")
         if len(args.inputs) != 2:
             raise InvalidArgument("the core-satellite template takes two --inputs")
-        inputs = [LatticeSpace.from_dict(_read_json(path, SPACE_KEYS)) for path in args.inputs]
+        inputs = [LatticeSpace.from_dict(_read_json(path)) for path in args.inputs]
         out = enumerate_simplex(inputs[0].n, inputs[0].N)
         menu = apply_template(WiringTemplate.core_satellite(args.w, out), inputs)
     else:
         if not args.hub:
             raise InvalidArgument("menu needs --hub or --template")
-        hub_dict = _read_json(args.hub, SPACE_KEYS)
+        hub_dict = _read_json(args.hub)
+        # One enumeration serves the ambient lattice and the hub it bounds.
+        ambient = enumerate_simplex(*_space_shape(hub_dict))
         if "points" in hub_dict:
             hub = LatticeSpace.from_dict(hub_dict)
-            ambient = enumerate_simplex(hub.n, hub.N)
         else:
-            # One enumeration serves the ambient lattice and the hub it bounds.
-            ambient = enumerate_simplex(hub_dict["n"], hub_dict["N"])
             hub = restrict(ambient, [LinearConstraint.from_dict(c)
                                      for c in hub_dict.get("constraints", [])])
         menu = Menu(hub, np.ones(len(hub), dtype=bool))
@@ -230,14 +224,10 @@ def cmd_cure(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    seed = _env_seed(args.seed)
-    if args.scenario == "all":
-        rows = comparison_table(seed=seed, n_samples=args.n)
-    else:
-        scen = builtin_scenarios(seed=seed, n_samples=args.n)[args.scenario]
-        rows = [three_way_compare(scen, constraint=args.constraint,
-                                  epsilon=args.epsilon)]
-    _emit([r.to_dict() for r in rows])
+    scenarios = builtin_scenarios(seed=_env_seed(args.seed), n_samples=args.n)
+    chosen = scenarios.values() if args.scenario == "all" else [scenarios[args.scenario]]
+    _emit([three_way_compare(s, constraint=args.constraint, epsilon=args.epsilon).to_dict()
+           for s in chosen])
     return 0
 
 

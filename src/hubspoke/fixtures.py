@@ -12,8 +12,9 @@ spaces, maps and relations a law should be checked on::
       "args":      {"f": "f", "R": "R", "S": "S"}           # law-specific
     }
 
-A document that is not an object of objects, or lacks a space, map,
-relation or argument the law reads, raises an InvalidArgument naming it.
+A document that is not an object of objects (each space, map and relation
+entry an object too), or lacks a space, map, relation or argument the law
+reads, or a field one of them needs, raises an InvalidArgument naming it.
 
 Without a document, `run_law` uses the reference fixture for that law: the
 shrink-toward-barycenter map with tracking and turnover relations for
@@ -48,8 +49,10 @@ def _pick(table: dict, name, what: str):
 
 
 def _materialize(doc: dict):
-    if not (isinstance(doc, dict) and all(isinstance(doc.get(k, {}), dict)
-                                          for k in ("spaces", "maps", "relations", "args"))):
+    sections = ("spaces", "maps", "relations")
+    if not (isinstance(doc, dict) and isinstance(doc.get("args", {}), dict)
+            and all(isinstance(doc.get(k, {}), dict) for k in sections)
+            and all(isinstance(v, dict) for k in sections for v in doc.get(k, {}).values())):
         raise InvalidArgument("a fixture must be a JSON object of JSON objects")
     spaces = {k: LatticeSpace.from_dict(v) for k, v in doc.get("spaces", {}).items()}
 

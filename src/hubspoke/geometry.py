@@ -62,6 +62,16 @@ def _as_fraction(x) -> Fraction:
     raise InvalidArgument(f"cannot interpret {x!r} as a rational number")
 
 
+def _space_shape(d) -> tuple[int, int]:
+    """The dimension n and resolution N of a space's JSON form, which must be
+    an object with integer 'n' and 'N' (their ranges are enumerate_simplex's)."""
+    n, N = (d.get("n"), d.get("N")) if isinstance(d, dict) else (None, None)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, N)):
+        raise InvalidArgument("a space is a JSON object with integer 'n' and 'N', "
+                              f"got n={n!r}, N={N!r}")
+    return n, N
+
+
 @dataclass(frozen=True, order=True)
 class GridPoint:
     """A lattice portfolio: integer holdings summing to the resolution."""
@@ -337,10 +347,11 @@ class LatticeSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatticeSpace":
+        n, N = _space_shape(d)
         constraints = [LinearConstraint.from_dict(c) for c in d.get("constraints", [])]
         if "points" in d:
-            return cls._from_rows(d["n"], d["N"], d["points"], constraints)
-        space = enumerate_simplex(d["n"], d["N"])
+            return cls._from_rows(n, N, d["points"], constraints)
+        space = enumerate_simplex(n, N)
         return restrict(space, constraints) if constraints else space
 
     @classmethod

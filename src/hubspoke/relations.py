@@ -95,6 +95,14 @@ def _same(X: np.ndarray, Y: np.ndarray, tol: float = FLOAT_TOL) -> np.ndarray:
     return _by_rows(lambda A, B: np.abs(A[:, None, :] - B[None]).max(axis=2) <= tol, X, Y)
 
 
+def _ball(A: np.ndarray, B: np.ndarray, bound: float) -> np.ndarray:
+    """(|A|, |B|) bool: row pairs whose squared L2 distance is at most bound.
+
+    The one L2 ball rule: tracking, erosion and the metric transports call
+    it on their own row blocks."""
+    return ((A[:, None, :] - B[None]) ** 2).sum(axis=2) <= bound
+
+
 class Relation:
     """A closed alignment relation R between two lattice spaces.
 
@@ -320,8 +328,7 @@ def build_relation(domain: LatticeSpace, codomain: LatticeSpace,
             raise InvalidArgument("attribute maps must target the same space")
 
         def test(X, Y, gA=gA, gB=gB, bound=(eps + FLOAT_TOL) ** 2):
-            return _by_rows(lambda A, B: ((A[:, None, :] - B[None]) ** 2).sum(axis=2) <= bound,
-                            X @ gA.T, Y @ gB.T)
+            return _by_rows(lambda A, B: _ball(A, B, bound), X @ gA.T, Y @ gB.T)
 
         rule = None
         identity = np.eye(domain.n + 1)
@@ -422,10 +429,16 @@ def _projector(domain: LatticeSpace, codomain: LatticeSpace,
 
 
 def relation_from_dict(domain: LatticeSpace, codomain: LatticeSpace, d: dict) -> Relation:
+    """The relation of a JSON definition {"kind": ..., "params": {...}}; a
+    parameter its kind reads and the definition lacks is an InvalidArgument."""
     params = dict(d.get("params", {}))
     if "functional" in params and isinstance(params["functional"], dict):
         params["functional"] = LinearFunctional.from_dict(params["functional"])
-    return build_relation(domain, codomain, d["kind"], **params)
+    try:
+        return build_relation(domain, codomain, d.get("kind"), **params)
+    except KeyError as e:
+        raise InvalidArgument(f"a {d.get('kind')} relation needs the parameter "
+                              f"{e.args[0]!r}") from None
 
 
 def diagonal(space: LatticeSpace) -> Relation:

@@ -8,6 +8,11 @@ highest-density region from a Gaussian KDE, and a Wasserstein-1 cure cost.
 Each check has a verdict and a set; the three-way comparison computes only
 the verdicts.
 
+Every "within r" test is the one L2 ball rule, `relations._ball`: erosion
+(`erosion_verdict`, `metric_pullback_check`) and the metric transports of
+relations, the dilated `metric_pushforward` and its eroded partner
+`metric_pullback`.  The transports share one near-matrix product.
+
 Sampling uses the counter-based Philox generator keyed by the seed, so a
 cloud is a pure function of (spec, hub, seed); sample i occupies a fixed
 position in the counter stream regardless of scheduling.
@@ -34,7 +39,7 @@ from .geometry import (
     restrict,
 )
 from .optimize import Infeasible
-from .relations import Relation
+from .relations import Relation, _ball, _by_rows
 
 SIMPLEX_SUM_TOL = 1e-12
 
@@ -263,8 +268,7 @@ def erosion_verdict(S: LatticeSpace, r: float, img: Sequence[float],
     elif (ambient.n, ambient.N, len(ambient)) != (S.n, S.N, expected_simplex_size(S.n, S.N)):
         raise InvalidArgument("ambient must be the full lattice of the constraint space")
     viol = ambient.array[S.index_holdings(ambient.holdings) < 0]
-    accepted = len(viol) == 0 or bool(((viol - img) ** 2).sum(axis=1).min() > r * r)
-    return viol, accepted
+    return viol, not _ball(np.array([img], dtype=np.float64), viol, r * r).any()
 
 
 def metric_pullback_check(S: LatticeSpace, r: float, hub: Sequence[float],
@@ -284,25 +288,46 @@ def metric_pullback_check(S: LatticeSpace, r: float, hub: Sequence[float],
     eroded = np.empty(len(S), dtype=bool)
     for s in _row_blocks(len(S), viol.size, MAX_EROSION_CELLS,
                          f"erosion of {len(S)} points by {len(viol)} violators"):
-        eroded[s] = (((S.array[s, None, :] - viol) ** 2).sum(axis=2) > r * r).all(axis=1)
+        eroded[s] = ~_ball(S.array[s], viol, r * r).any(axis=1)
     eroded.flags.writeable = False
     return ErosionCheck(eroded=eroded, accepted=accepted, hub_image=img, r=r)
 
 
-def metric_pushforward(f, R, r: float):
-    """Minkowski dilation of the pushforward: lattice points within r of f(x).
+def _near_hits(A: np.ndarray, B: np.ndarray, bound: float, M: np.ndarray) -> np.ndarray:
+    """(|A|, M.shape[1]) bool: entry (i, k) is whether some row j of B in the
+    ball of row i, `_ball(A, B, bound)[i, j]`, has M[j, k] set.  The near
+    matrix is built in row blocks of A, then multiplied by M once."""
+    near = _by_rows(lambda X, Y: _ball(X, Y, bound), A, B)
+    # float counts: a sum of non-negative terms is never rounded to 0
+    return (near.astype(np.float32) @ M.astype(np.float32)) > 0
+
+
+def metric_pushforward(f, R: Relation, r: float) -> Relation:
+    """Minkowski dilation of the pushforward: (y, z) for the lattice points y
+    within r of some f(x) with (x, z) in R.
 
     Returns an explicit relation on (codomain lattice) x Z.
     """
     if r < 0:
         raise InvalidArgument("radius must be non-negative")
-    Y, F = f.codomain.array, f.images
-    near = np.empty((len(Y), len(F)), dtype=bool)     # y within r of f(x)
-    for s in _row_blocks(len(Y), F.size):
-        near[s] = ((Y[s, None, :] - F[None, :, :]) ** 2).sum(axis=2) <= (r + FLOAT_TOL) ** 2
-    # float counts: a sum of non-negative terms is never rounded to 0
-    hit = (near.astype(np.float32) @ R.mask().astype(np.float32)) > 0
+    if not f.domain.same_points(R.domain):
+        raise InvalidArgument("metric_pushforward: f must start at R's domain")
+    hit = _near_hits(f.codomain.array, f.images, (r + FLOAT_TOL) ** 2, R.mask())
     return Relation.from_mask(f.codomain, R.codomain, hit)
+
+
+def metric_pullback(f, S: Relation, r: float) -> Relation:
+    """Eroded pullback: (x, z) such that every point y of S's domain within r
+    of f(x) has (y, z) in S.
+
+    Returns an explicit relation on (domain lattice) x Z.
+    """
+    if r < 0:
+        raise InvalidArgument("radius must be non-negative")
+    if not f.codomain.same_points(S.domain):
+        raise InvalidArgument("metric_pullback: f must land in S's domain")
+    bad = _near_hits(f.images, S.domain.array, r * r, ~S.mask())
+    return Relation.from_mask(f.domain, S.codomain, ~bad)
 
 
 def compose_radius(rP: float, rQ: float, L: float = 1.0,

@@ -161,7 +161,9 @@ class TestVerify:
                                       "argument_missing", "argument_names_no_map",
                                       "argument_is_not_a_name",
                                       "argument_names_no_relation", "map_names_no_space",
-                                      "relation_names_no_space", "args_not_an_object"])
+                                      "relation_names_no_space", "args_not_an_object",
+                                      "space_without_n", "map_is_a_list",
+                                      "track_without_epsilon"])
     def test_incomplete_fixture_exit_two(self, capsys, tmp_path, law, first, case):
         doc = self._full_fixture()
         path = tmp_path / "fix.json"
@@ -190,9 +192,19 @@ class TestVerify:
         elif case == "relation_names_no_space":
             doc["relations"]["R"]["domain"] = "ghost"
             message = "fixture has no space 'ghost'"
-        else:
+        elif case == "args_not_an_object":
             doc["args"] = list(doc["args"])
             message = "a fixture must be a JSON object of JSON objects"
+        elif case == "space_without_n":
+            doc["spaces"]["amb"] = {}
+            message = "a space is a JSON object with integer 'n' and 'N', got n=None, N=None"
+        elif case == "map_is_a_list":
+            doc["maps"][first] = list(doc["maps"][first])
+            message = "a fixture must be a JSON object of JSON objects"
+        else:
+            doc["relations"]["R"] = {"kind": "track", "params": {},
+                                     "domain": "amb", "codomain": "amb"}
+            message = "a track relation needs the parameter 'epsilon'"
         path.write_text(json.dumps(doc))
         code = main(["verify", "--law", law, "--fixture", str(path)])
         captured = capsys.readouterr()
@@ -549,6 +561,19 @@ class TestStochasticCommands:
         assert code == 0 and "eroded_count" in json.loads(out)
         assert calls == [(2, 50)]
 
+    @pytest.mark.parametrize("scenario", ["all", "gaussian"])
+    def test_compare_options_reach_every_scenario(self, capsys, scenario):
+        from hubspoke.stochastic import builtin_scenarios, three_way_compare
+
+        argv = ["compare", "--scenario", scenario, "--n", "300", "--seed", "3"]
+        assert main(argv + ["--epsilon", "-1"]) == 2
+        assert capsys.readouterr().err == "error: epsilon must lie in (0, 1)\n"
+        code, out = run(capsys, *argv, "--constraint", "x1<=0.1", "--epsilon", "0.2")
+        chosen = builtin_scenarios(seed=3, n_samples=300)
+        chosen = chosen.values() if scenario == "all" else [chosen[scenario]]
+        assert code == 0 and json.loads(out) == [
+            three_way_compare(s, constraint="x1<=0.1", epsilon=0.2).to_dict() for s in chosen]
+
     def test_compare_single_scenario(self, capsys):
         code, out = run(capsys, "compare", "--scenario", "banana",
                         "--constraint", "x1<=0.4", "--n", "2000", "--seed", "42")
@@ -670,13 +695,17 @@ class TestWorkflowCommand:
           "--new-map", "f_new", "--new-object", "k_new"], "missing.json"),
         (["menu", "--hub", "{not_json}"], "not.json"),
         (["menu", "--hub", "{no_N}"], "'N'"),
+        (["menu", "--hub", "{N_ten}"], "'N'"),
+        (["menu", "--hub", "{a_list}"], "'N'"),
         (["menu", "--template", "core-satellite", "--inputs", "{hub}", "{no_N}"], "'N'"),
         (["build-map", "--spec", "{hub}", "--hub", "{hub}", "--spoke", "{no_N}"], "'N'"),
+        (["build-map", "--spec", "{hub}", "--hub", "{a_list}", "--spoke", "{hub}"], "'N'"),
         (["cure", "--constraint", "x1<=0.5", "--weights", "a,b,c"], "--weights"),
     ], ids=["menu_hub_missing", "template_inputs_missing", "build_map_spec_missing",
             "verify_fixture_missing", "workflow_b_missing", "workflow_c_missing",
-            "menu_hub_not_json", "menu_hub_without_N", "template_input_without_N",
-            "build_map_spoke_without_N", "cure_weights_not_floats"])
+            "menu_hub_not_json", "menu_hub_without_N", "menu_hub_N_not_an_integer",
+            "menu_hub_a_list", "template_input_without_N", "build_map_spoke_without_N",
+            "build_map_hub_a_list", "cure_weights_not_floats"])
     def test_unreadable_input_exit_two(self, capsys, tmp_path, argv, named):
         reg = self._registry(tmp_path)
         ledger = tmp_path / "l.jsonl"
@@ -686,8 +715,11 @@ class TestWorkflowCommand:
         (tmp_path / "not.json").write_text("n = 2, N = 10")
         (tmp_path / "no_N.json").write_text(json.dumps({"n": 2}))
         (tmp_path / "hub.json").write_text(json.dumps({"n": 2, "N": 10}))
+        (tmp_path / "N_ten.json").write_text(json.dumps({"n": 2, "N": "ten"}))
+        (tmp_path / "a_list.json").write_text(json.dumps([2, 10]))
         paths = {"missing": tmp_path / "missing.json", "not_json": tmp_path / "not.json",
-                 "no_N": tmp_path / "no_N.json", "hub": tmp_path / "hub.json"}
+                 "no_N": tmp_path / "no_N.json", "hub": tmp_path / "hub.json",
+                 "N_ten": tmp_path / "N_ten.json", "a_list": tmp_path / "a_list.json"}
         argv = [a.format(**paths) for a in argv]
         if argv[0] == "workflow":
             argv += ["--registry", reg, "--ledger", str(ledger)]

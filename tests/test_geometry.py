@@ -578,7 +578,8 @@ class TestRowBlocks:
     def test_every_scan_matches_its_one_shot_broadcast(self, n, N, cap, r, block, seed):
         from hubspoke import geometry, optimize, relations
         from hubspoke.dots import WiringTemplate, apply_template
-        from hubspoke.stochastic import _lattice_cure, metric_pullback_check, metric_pushforward
+        from hubspoke.stochastic import (_lattice_cure, metric_pullback, metric_pullback_check,
+                                         metric_pushforward)
 
         rng = np.random.default_rng(seed)
         d = n + 1
@@ -612,6 +613,7 @@ class TestRowBlocks:
             got_max = optimize._over_fibers(np.max, track, vals)
             check = metric_pullback_check(S, r, X[len(X) // 2], ambient=amb)
             got_near = metric_pushforward(f, R(), r).mask()
+            got_pull = metric_pullback(f, relations.dagger(R()), r).mask()
             got_cure = _lattice_cure(viol, S, w)
             got_mix = apply_template(WiringTemplate.core_satellite(mix_w, S), [amb, S]).mask
         finally:
@@ -636,6 +638,9 @@ class TestRowBlocks:
         near = ((Y[:, None] - F[None]) ** 2).sum(axis=2) <= (r + FLOAT_TOL) ** 2
         assert np.array_equal(got_near, (near.astype(np.float32)
                                          @ track.astype(np.float32)) > 0)
+        near = ((F[:, None] - Y[None]) ** 2).sum(axis=2) <= r * r
+        assert np.array_equal(got_pull, (near.astype(np.float32)
+                                         @ (~track.T).astype(np.float32)) == 0)
         assert np.array_equal(got_cure,
                               (np.abs(viol[:, None] - Y[None]) * w).sum(axis=2).min(axis=1))
         mix = mix_w * X[:, None] + (1.0 - mix_w) * Y[None]

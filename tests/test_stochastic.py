@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from hubspoke.geometry import (
     GridPoint,
     InvalidArgument,
+    LatticeSpace,
     enumerate_simplex,
     parse_constraint,
     restrict,
 )
-from hubspoke.optimize import identity_map
-from hubspoke.relations import build_relation, explicit_relation
+from hubspoke.optimize import ReimplMap, identity_map
+from hubspoke.relations import Relation, build_relation, explicit_relation
 from hubspoke import stochastic
 from hubspoke.stochastic import (
     KDE_BLOCK,
@@ -32,6 +33,7 @@ from hubspoke.stochastic import (
     hdr_regions,
     kde_density,
     lattice_components,
+    metric_pullback,
     metric_pullback_check,
     metric_pushforward,
     project_to_simplex,
@@ -290,6 +292,59 @@ class TestErosionDilation:
                     dmin = min(np.linalg.norm(x.to_array() - y.to_array())
                                for y in bad)
                     assert dmin > r
+
+
+def eroded_pullback_oracle(f, S, r):
+    """The eroded pullback column by column: x passes z when no point y of
+    S's domain with (y, z) outside S lies within r of f(x)."""
+    Y, F, S_mask = S.domain.array, f.images, S.mask()
+    pull = np.zeros((len(f.domain), len(S.codomain)), dtype=bool)
+    for zi in range(len(S.codomain)):
+        viol = Y[~S_mask[:, zi]]
+        if len(viol) == 0:
+            pull[:, zi] = True
+            continue
+        d2 = ((F[:, None, :] - viol[None, :, :]) ** 2).sum(axis=2)
+        pull[:, zi] = d2.min(axis=1) > r * r
+    return pull
+
+
+class TestMetricTransport:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 2), m=st.integers(1, 2), N=st.integers(1, 10),
+           affine=st.booleans(), k=st.integers(0, 8), ulp=st.sampled_from([-1, 0, 1]),
+           seed=st.integers(0, 2**16))
+    def test_pullback_matches_the_column_loop(self, n, m, N, affine, k, ulp, seed):
+        rng = np.random.default_rng(seed)
+        K1, K2, Z = enumerate_simplex(n, N), enumerate_simplex(m, N), enumerate_simplex(1, N)
+        if affine:      # column-stochastic: images off the lattice, inside the simplex
+            f = ReimplMap(K1, K2, "affine", matrix=rng.dirichlet(np.ones(m + 1), n + 1).T)
+        else:
+            f = ReimplMap(K1, K2, "lattice_argmin", img=rng.integers(0, len(K2), len(K1)))
+        mask = rng.random((len(K2), len(Z))) < rng.random()
+        mask[:, 0], mask[:, -1] = False, True       # an empty and a full column
+        S = Relation.from_mask(K2, Z, mask)
+        # a squared lattice distance is an even number of squared steps
+        r = math.sqrt(2 * k) / N
+        if k and ulp:
+            r = float(np.nextafter(r, ulp * math.inf))
+        pull = metric_pullback(f, S, r)
+        assert pull.domain is K1 and pull.codomain is Z
+        assert np.array_equal(pull.mask(), eroded_pullback_oracle(f, S, r))
+
+    def test_transport_refuses_a_map_off_the_relation(self):
+        K = enumerate_simplex(2, 4)
+        A, B = (LatticeSpace.from_points(2, 4, pts) for pts in (K.points[1:], K.points[:-1]))
+        Z = enumerate_simplex(1, 4)
+        R = build_relation(A, Z, "track", epsilon=0.5, gA=np.ones((1, 3)),
+                           gB=np.ones((1, 2)))
+        for f in (identity_map(K), identity_map(B)):     # another length, other points
+            with pytest.raises(InvalidArgument, match="f must start at R's domain"):
+                metric_pushforward(f, R, 0.1)
+            with pytest.raises(InvalidArgument, match="f must land in S's domain"):
+                metric_pullback(f, R, 0.1)
+        for transport in (metric_pushforward, metric_pullback):
+            assert np.array_equal(transport(identity_map(A), R, 0.0).mask(), R.mask())
 
 
 class TestRadiusComposition:
